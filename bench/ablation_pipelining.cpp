@@ -12,7 +12,6 @@ int main(int argc, char** argv) {
   using namespace pimds;
   using namespace pimds::bench;
   using sim::PimQueueOptions;
-  using sim::SegmentPlacement;
 
   JsonReporter json(argc, argv, "ablation_pipelining");
 
@@ -70,12 +69,12 @@ int main(int argc, char** argv) {
   {
     Table table({"placement", "Mops/s", "co-resident ops"}, 20);
     table.print_header();
-    const auto run = [&](const char* name, SegmentPlacement placement,
+    const auto run = [&](const char* name, bool antipodal,
                          std::size_t initial) {
       sim::QueueConfig c = cfg;
       c.initial_nodes = initial;
       PimQueueOptions opts;
-      opts.placement = placement;
+      opts.antipodal_placement = antipodal;
       const auto r = sim::run_pim_queue(c, opts);
       table.print_row({name, mops(r.run.ops_per_sec()),
                        std::to_string(r.co_resident_ops)});
@@ -83,10 +82,8 @@ int main(int argc, char** argv) {
     };
     // Exact-multiple prefill puts both roles on one core at t=0: the
     // round-robin policy never separates them again.
-    run("round-robin", SegmentPlacement::kRoundRobin, 64 * 1024);
-    run("avoid-deq-core", SegmentPlacement::kAvoidDequeueCore, 64 * 1024);
-    run("opposite-deq-core", SegmentPlacement::kOppositeDequeueCore,
-        64 * 1024);
+    run("round-robin", false, 64 * 1024);
+    run("opposite-deq-core", true, 64 * 1024);
   }
 
   banner("Ablation A3e: FC queue lock split (paper's two-lock modification)");

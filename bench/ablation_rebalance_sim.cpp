@@ -104,7 +104,9 @@ int main(int argc, char** argv) {
         r_act.size_consistent ? "yes" : "NO");
     const JsonReporter::Params gp{{"theta", "0.99"}, {"partitions", "4"}};
     json.record("gated_observe_theta0.99_k4", gp, r_obs.after.ops_per_sec());
-    json.record("gated_uniform_theta0.00_k4", gp, r_uni.after.ops_per_sec());
+    json.record("gated_uniform_theta0.00_k4",
+                {{"theta", "0.00"}, {"partitions", "4"}},
+                r_uni.after.ops_per_sec());
     json.record("gated_active_theta0.99_k4", gp, r_act.after.ops_per_sec());
     json.note("imbalance_cut", cut);
     json.note("active_vs_uniform_tput", tput_ratio);

@@ -20,6 +20,14 @@ cmake -B build -S . > /dev/null
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
+# More runnable threads than cores is a tested condition, not an accident:
+# twice as many ctest jobs as CPUs, run twice back to back. Every test
+# carries a ctest TIMEOUT, so a stall fails here instead of hanging.
+echo "== tier-1: ctest oversubscribed (-j $((2 * $(nproc))), twice) =="
+for pass in 1 2; do
+  (cd build && ctest --output-on-failure -j "$((2 * $(nproc)))")
+done
+
 # Opt-in: a longer schedule-exploration sweep of the segment hand-off and
 # migration protocols (docs/TESTING.md Section 5). CI's schedule-explore job
 # runs the full 1000-seed version.

@@ -1,6 +1,7 @@
 #include "core/pim_fifo_queue.hpp"
 
 #include <cassert>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "runtime/fat_arena.hpp"
@@ -17,37 +18,75 @@ using runtime::RequestCombiner;
 using runtime::ResponseSlot;
 
 namespace {
-// Process-wide queue metrics: a process runs one PimFifoQueue at a time in
-// practice; if several coexist, snapshots aggregate them.
-struct QueueMetrics {
-  obs::Registry& reg = obs::Registry::instance();
-  obs::Counter& enq_ops = reg.counter("runtime.queue.enq_ops");
-  obs::Counter& enq_batches = reg.counter("runtime.queue.enq_batches");
-  obs::Counter& rejections = reg.counter("runtime.queue.rejections");
-  obs::Counter& handoffs = reg.counter("runtime.queue.segment_handoffs");
-  obs::Counter& segs_destroyed = reg.counter("runtime.queue.segments_destroyed");
-  obs::Histogram& enq_batch = reg.histogram("runtime.queue.enq_batch");
-  obs::Histogram& deq_batch = reg.histogram("runtime.queue.deq_batch");
-};
 QueueMetrics& qmetrics() {
-  static QueueMetrics m;
+  static QueueMetrics m("runtime.queue");
   return m;
 }
 }  // namespace
+
+/// QueueVault's context over the real-thread runtime: one per drain pass.
+struct PimFifoQueue::VaultCtx {
+  using Requester = void*;
+
+  PimCoreApi api;
+  PimFifoQueue& queue;
+
+  std::size_t self() const { return api.vault_id(); }
+  std::size_t deq_role_owner() const {
+    return queue.deq_cid_.value.load(std::memory_order_relaxed);
+  }
+  void send(std::size_t vault, QueueSignal s) {
+    Message m;
+    m.kind = s == QueueSignal::kNewEnqSeg ? kNewEnqSeg : kNewDeqSeg;
+    api.send(vault, m);
+  }
+  void charge(std::uint64_t n) { api.charge_local_access(n); }
+  /// One pipelined fat response: every reply shares one delivery time.
+  void reply(void* const* slots, const QueueReply* replies, std::size_t n) {
+    const std::uint64_t ready = api.reply_ready_ns();
+    for (std::size_t i = 0; i < n; ++i) {
+      static_cast<ResponseSlot<QueueReply>*>(slots[i])->publish(replies[i],
+                                                                ready);
+    }
+  }
+  template <typename T, typename... Args>
+  T* create(Args&&... args) {
+    return api.vault().create<T>(std::forward<Args>(args)...);
+  }
+  template <typename T>
+  void destroy(T* p) {
+    api.vault().destroy(p);
+  }
+  // "Notify the CPUs" of a role's new home.
+  void publish_enq_role() {
+    obs::trace_instant_here("newEnqSeg", "queue", {"vault", self()});
+    queue.enq_cid_.value.store(self(), std::memory_order_release);
+  }
+  void publish_deq_role() {
+    obs::trace_instant_here("newDeqSeg", "queue", {"vault", self()});
+    queue.deq_cid_.value.store(self(), std::memory_order_release);
+  }
+};
 
 PimFifoQueue::PimFifoQueue(runtime::PimSystem& system)
     : PimFifoQueue(system, Options{}) {}
 
 PimFifoQueue::PimFifoQueue(runtime::PimSystem& system, Options options)
-    : system_(system), options_(options), vaults_(system.num_vaults()) {
+    : system_(system), options_(options) {
   enq_combiner_.set_linger_ns(options_.combine_linger_ns);
   deq_combiner_.set_linger_ns(options_.combine_linger_ns);
-  // Initial state (Section 5.1): one empty segment acting as both the
-  // enqueue and the dequeue segment, in vault 0. It already holds the
-  // dequeue role, so it is NOT in the segment queue.
-  Segment* initial = system_.vault(0).create<Segment>();
-  vaults_[0]->enq_seg = initial;
-  vaults_[0]->deq_seg = initial;
+  const Vault::Config config{system_.num_vaults(), options_.segment_threshold,
+                             options_.antipodal_placement,
+                             options_.enqueue_combining,
+                             options_.fat_node_capacity};
+  for (std::size_t v = 0; v < system_.num_vaults(); ++v) {
+    vaults_.push_back(std::make_unique<Vault>(config, qmetrics()));
+  }
+  // Initial state (Section 5.1): one empty segment in vault 0 holding both
+  // roles; the directory already points both at vault 0.
+  Vault::prefill(
+      0, [this](std::size_t v) -> Vault& { return *vaults_[v]; },
+      [this](std::size_t v) { return VaultCtx{PimCoreApi(system_, v), *this}; });
   for (std::size_t v = 0; v < system_.num_vaults(); ++v) {
     system_.set_batch_handler(
         v, [this](PimCoreApi& api, const Message* msgs, std::size_t n) {
@@ -56,343 +95,82 @@ PimFifoQueue::PimFifoQueue(runtime::PimSystem& system, Options options)
   }
 }
 
-std::size_t PimFifoQueue::pick_next_core(std::size_t self) const {
-  const std::size_t k = vaults_.size();
-  if (k == 1) return 0;
-  if (options_.antipodal_placement) {
-    std::size_t next =
-        (deq_cid_.value.load(std::memory_order_relaxed) + k / 2) % k;
-    if (next == deq_cid_.value.load(std::memory_order_relaxed)) {
-      next = (next + 1) % k;
-    }
-    return next;
-  }
-  return (self + 1) % k;
-}
-
-/// One drain pass worth of messages. Enqueues and dequeues are each gathered
-/// across the whole batch (Section 5.1 combining) and served together —
-/// enqueues append as fat nodes, dequeues pop consecutive values at one
-/// local access per fat node's worth; everything else flushes both gathers
-/// and is served in arrival order, which preserves the per-channel FIFO the
-/// segment hand-off protocol relies on. Reordering enqueues/dequeues behind
-/// other senders' operations is linearizable: a CPU thread has at most one
-/// request in flight, so all reordered operations are concurrent.
+/// One drain pass: decode every message into the vault's QueueVault, which
+/// gathers the requests and serves them (see core/queue_vault.hpp).
 void PimFifoQueue::handle_batch(PimCoreApi& api, const Message* msgs,
                                 std::size_t n) {
-  std::vector<PendingEnq> enqs;
-  std::vector<void*> deqs;
-  auto flush = [&] {
-    if (!enqs.empty()) serve_enq_batch(api, enqs);
-    if (!deqs.empty()) serve_deq_batch(api, deqs);
+  VaultCtx ctx{api, *this};
+  Vault& vault = *vaults_[api.vault_id()];
+  const auto take = [&vault](std::uint32_t kind, std::uint64_t value,
+                             void* slot) {
+    kind == kEnq ? vault.enqueue(value, slot) : vault.dequeue(slot);
   };
   for (std::size_t i = 0; i < n; ++i) {
     const Message& m = msgs[i];
-    switch (m.kind) {
-      case kEnqBatch: {
-        // Already CPU-combined: always served as a fat node. The batch
-        // rides inside the message (inline or spilled) — zero-copy decode.
-        const FatEntry* entries = fat_entries(m);
-        for (std::uint16_t j = 0; j < m.fat_count; ++j) {
-          enqs.push_back(PendingEnq{entries[j].value, entries[j].slot});
-        }
-        release_fat_payload(m);
-        if (!options_.enqueue_combining) flush();
-        break;
-      }
-      case kEnq:
-        if (options_.enqueue_combining) {
-          enqs.push_back(PendingEnq{m.value, m.slot});
-        } else {
-          handle_enq(api, m);
-        }
-        break;
-      case kDeqBatch: {
-        const FatEntry* entries = fat_entries(m);
-        for (std::uint16_t j = 0; j < m.fat_count; ++j) {
-          deqs.push_back(entries[j].slot);
-        }
-        release_fat_payload(m);
-        break;
-      }
-      case kDeq:
-        deqs.push_back(m.slot);
-        break;
-      default:
-        flush();
-        handle(api, m);
-        break;
+    if (m.kind == kNewEnqSeg || m.kind == kNewDeqSeg) {
+      vault.signal(ctx, m.kind == kNewEnqSeg ? QueueSignal::kNewEnqSeg
+                                             : QueueSignal::kNewDeqSeg);
+      continue;
     }
-  }
-  flush();
-}
-
-void PimFifoQueue::handle(PimCoreApi& api, const Message& m) {
-  switch (m.kind) {
-    case kEnq:
-      handle_enq(api, m);
-      break;
-    case kDeq:
-      handle_deq(api, m);
-      break;
-    case kDeqBatch:
-      handle_deq_batch(api, m);
-      break;
-    case kNewEnqSeg: {
-      VaultState& vs = *vaults_[api.vault_id()];
-      Segment* seg = api.vault().create<Segment>();
-      // Append to this core's segQueue (Algorithm 1 newEnqSeg lines 19-21).
-      if (vs.seg_queue_tail != nullptr) {
-        vs.seg_queue_tail->next_in_queue = seg;
-      } else {
-        vs.seg_queue_head = seg;
-      }
-      vs.seg_queue_tail = seg;
-      vs.enq_seg = seg;
-      api.charge_local_access();
-      segments_created_.value.fetch_add(1, std::memory_order_relaxed);
-      obs::trace_instant_here("newEnqSeg", "queue",
-                              {"vault", api.vault_id()});
-      // "Notify the CPUs of the new enqueue segment."
-      enq_cid_.value.store(api.vault_id(), std::memory_order_release);
-      break;
+    // One request, or a CPU-combined batch riding inside the message
+    // (inline or spilled): zero-copy decode.
+    if (m.fat_count == 0) take(m.kind, m.value, m.slot);
+    const FatEntry* entries = fat_entries(m);
+    for (std::uint16_t j = 0; j < m.fat_count; ++j) {
+      take(m.kind, entries[j].value, entries[j].slot);
     }
-    case kNewDeqSeg: {
-      VaultState& vs = *vaults_[api.vault_id()];
-      // FIFO per-channel delivery guarantees the newEnqSeg that created the
-      // next segment (sent earlier on the same core-to-core channel) has
-      // been processed, so the segQueue cannot be empty here.
-      assert(vs.seg_queue_head != nullptr &&
-             "newDeqSeg arrived before the matching newEnqSeg");
-      Segment* seg = vs.seg_queue_head;
-      vs.seg_queue_head = seg->next_in_queue;
-      if (vs.seg_queue_head == nullptr) vs.seg_queue_tail = nullptr;
-      seg->next_in_queue = nullptr;
-      vs.deq_seg = seg;
-      obs::trace_instant_here("newDeqSeg", "queue",
-                              {"vault", api.vault_id()});
-      deq_cid_.value.store(api.vault_id(), std::memory_order_release);
-      break;
-    }
-    default:
-      assert(false && "unknown queue opcode");
+    release_fat_payload(m);
+    vault.end_message(ctx);
   }
+  vault.serve(ctx);
 }
 
-void PimFifoQueue::split_if_full(PimCoreApi& api) {
-  VaultState& vs = *vaults_[api.vault_id()];
-  if (vs.enq_seg == nullptr ||
-      vs.enq_seg->count <= options_.segment_threshold) {
-    return;
-  }
-  Segment& seg = *vs.enq_seg;
-  const std::size_t next = pick_next_core(api.vault_id());
-  seg.next_seg_cid = next;
-  qmetrics().handoffs.add(1);
-  Message create;
-  create.kind = kNewEnqSeg;
-  if (next == api.vault_id()) {
-    // Self hand-off (k == 1, or antipodal landed here): create locally
-    // instead of bouncing a message off our own mailbox.
-    handle(api, create);
-  } else {
-    api.send(next, create);
-    vs.enq_seg = nullptr;
-  }
+void PimFifoQueue::enqueue(std::uint64_t value) { request(true, value); }
+
+std::optional<std::uint64_t> PimFifoQueue::dequeue() {
+  const QueueReply r = request(false, 0);
+  if (!r.has_value) return std::nullopt;
+  return r.value;
 }
 
-void PimFifoQueue::serve_enq_batch(PimCoreApi& api,
-                                   std::vector<PendingEnq>& batch) {
-  VaultState& vs = *vaults_[api.vault_id()];
-  if (vs.enq_seg == nullptr) {
-    // Stale routing: the enqueue role moved away; reject the whole batch
-    // (one fat response message).
-    const std::uint64_t ready = api.reply_ready_ns();
-    for (const PendingEnq& e : batch) {
-      static_cast<ResponseSlot<Reply>*>(e.slot)->publish(Reply{false, false, 0},
-                                                         ready);
-    }
-    batch.clear();
-    return;
-  }
-  Segment& seg = *vs.enq_seg;
-  // One local access per cache-line-sized array of values (the fat node).
-  api.charge_local_access((batch.size() + options_.fat_node_capacity - 1) /
-                          options_.fat_node_capacity);
-  std::uint64_t seen = max_enq_batch_.value.load(std::memory_order_relaxed);
-  while (batch.size() > seen &&
-         !max_enq_batch_.value.compare_exchange_weak(
-             seen, batch.size(), std::memory_order_relaxed)) {
-  }
-  for (const PendingEnq& e : batch) {
-    Node* node = api.vault().create<Node>(Node{e.value, nullptr});
-    if (seg.head != nullptr) {
-      seg.head->next = node;
-      seg.head = node;
-    } else {
-      seg.head = node;
-      seg.tail = node;
-    }
-  }
-  // One pipelined fat response for the whole batch.
-  const std::uint64_t ready = api.reply_ready_ns();
-  for (const PendingEnq& e : batch) {
-    static_cast<ResponseSlot<Reply>*>(e.slot)->publish(Reply{true, false, 0},
-                                                       ready);
-  }
-  seg.count += batch.size();
-  enq_count_.value.fetch_add(batch.size(), std::memory_order_relaxed);
-  qmetrics().enq_ops.add(batch.size());
-  qmetrics().enq_batches.add(1);
-  qmetrics().enq_batch.record(batch.size());
-  batch.clear();
-  split_if_full(api);
-}
-
-void PimFifoQueue::handle_enq(PimCoreApi& api, const Message& m) {
-  VaultState& vs = *vaults_[api.vault_id()];
-  auto* slot = static_cast<ResponseSlot<Reply>*>(m.slot);
-  if (vs.enq_seg == nullptr) {
-    slot->publish(Reply{false, false, 0}, api.reply_ready_ns());
-    return;
-  }
-  Segment& seg = *vs.enq_seg;
-  api.charge_local_access();  // the node write; head/tail updates are L1
-  Node* node = api.vault().create<Node>(Node{m.value, nullptr});
-  if (seg.head != nullptr) {
-    seg.head->next = node;
-    seg.head = node;
-  } else {
-    seg.head = node;
-    seg.tail = node;
-  }
-  slot->publish(Reply{true, false, 0}, api.reply_ready_ns());
-  seg.count += 1;
-  enq_count_.value.fetch_add(1, std::memory_order_relaxed);
-  qmetrics().enq_ops.add(1);
-  qmetrics().enq_batches.add(1);
-  qmetrics().enq_batch.record(1);
-  split_if_full(api);
-}
-
-PimFifoQueue::Reply PimFifoQueue::serve_one_deq(PimCoreApi& api,
-                                                bool charge_node_read) {
-  VaultState& vs = *vaults_[api.vault_id()];
-  if (vs.deq_seg == nullptr) return Reply{false, false, 0};
-  Segment& seg = *vs.deq_seg;
-  if (seg.tail != nullptr) {
-    Node* node = seg.tail;
-    if (charge_node_read) api.charge_local_access();  // reading the node
-    const std::uint64_t value = node->value;
-    seg.tail = node->next;
-    if (seg.tail == nullptr) seg.head = nullptr;
-    api.vault().destroy(node);
-    deq_count_.value.fetch_add(1, std::memory_order_relaxed);
-    return Reply{true, true, value};
-  }
-  if (vs.deq_seg == vs.enq_seg) {
-    // Single-segment case: the queue really is empty right now.
-    return Reply{true, false, 0};
-  }
-  // Segment exhausted: pass the dequeue role along the chain, delete the
-  // spent segment, and tell the CPU to retry (Algorithm 1 lines 33-35).
-  const std::size_t next = seg.next_seg_cid;
-  assert(next < vaults_.size() && "exhausted segment has no successor");
-  vs.deq_seg = nullptr;
-  api.vault().destroy(&seg);
-  segments_destroyed_.value.fetch_add(1, std::memory_order_relaxed);
-  qmetrics().segs_destroyed.add(1);
-  Message pass;
-  pass.kind = kNewDeqSeg;
-  if (next == api.vault_id()) {
-    handle(api, pass);
-  } else {
-    api.send(next, pass);
-  }
-  return Reply{false, false, 0};
-}
-
-void PimFifoQueue::handle_deq(PimCoreApi& api, const Message& m) {
-  static_cast<ResponseSlot<Reply>*>(m.slot)->publish(serve_one_deq(api),
-                                                     api.reply_ready_ns());
-}
-
-void PimFifoQueue::serve_deq_batch(PimCoreApi& api, std::vector<void*>& slots) {
-  // Dequeued values are consecutive, so like serve_enq_batch this costs one
-  // local access per fat node's worth of values, not one per pop — the
-  // per-message path (handle_deq) cannot amortize and pays one per pop.
-  std::vector<Reply> replies;
-  replies.reserve(slots.size());
-  std::size_t pops = 0;
-  for (void* s : slots) {
-    (void)s;
-    const Reply r = serve_one_deq(api, /*charge_node_read=*/false);
-    pops += r.has_value ? 1 : 0;
-    replies.push_back(r);
-  }
-  if (pops > 0) {
-    api.charge_local_access((pops + options_.fat_node_capacity - 1) /
-                            options_.fat_node_capacity);
-  }
-  std::uint64_t seen = max_deq_batch_.value.load(std::memory_order_relaxed);
-  while (slots.size() > seen &&
-         !max_deq_batch_.value.compare_exchange_weak(
-             seen, slots.size(), std::memory_order_relaxed)) {
-  }
-  qmetrics().deq_batch.record(slots.size());
-  // One pipelined fat response carrying every dequeued value.
-  const std::uint64_t ready = api.reply_ready_ns();
-  for (std::size_t j = 0; j < slots.size(); ++j) {
-    static_cast<ResponseSlot<Reply>*>(slots[j])->publish(replies[j], ready);
-  }
-  slots.clear();
-}
-
-void PimFifoQueue::handle_deq_batch(PimCoreApi& api, const Message& m) {
-  const FatEntry* entries = fat_entries(m);
-  std::vector<void*> slots;
-  slots.reserve(m.fat_count);
-  for (std::uint16_t j = 0; j < m.fat_count; ++j) {
-    slots.push_back(entries[j].slot);
-  }
-  serve_deq_batch(api, slots);
-  release_fat_payload(m);
-}
-
-void PimFifoQueue::enqueue(std::uint64_t value) {
-  ResponseSlot<Reply> slot;
+QueueReply PimFifoQueue::request(bool is_enq, std::uint64_t value) {
+  ResponseSlot<QueueReply> slot;
   const bool obs_on = obs::metrics_enabled();
   const std::uint64_t rid = obs::trace_enabled() ? obs::next_request_id() : 0;
   const std::uint64_t op_start = (obs_on || rid != 0) ? now_ns() : 0;
+  auto& role = is_enq ? enq_cid_.value : deq_cid_.value;
+  const std::uint32_t kind = is_enq ? kEnq : kDeq;
+  QueueReply r;
   for (;;) {
     if (options_.cpu_combining) {
       RequestCombiner::Entry e{};
-      e.kind = kEnq;
+      e.kind = kind;
       e.value = value;
       e.slot = &slot;
 #ifndef PIMDS_OBS_DISABLED
       e.req_id = rid;  // combined ops keep their trace correlation
 #endif
-      enq_combiner_.submit(e, [this](Message& m) {
-        m.kind = kEnqBatch;
-        system_.send(enq_cid_.value.load(std::memory_order_acquire), m);
+      (is_enq ? enq_combiner_ : deq_combiner_).submit(e, [&](Message& m) {
+        m.kind = kind;
+        system_.send(role.load(std::memory_order_acquire), m);
       });
     } else {
       const std::uint64_t attempt_start = obs_on ? now_ns() : 0;
       Message m;
-      m.kind = kEnq;
+      m.kind = kind;
       m.value = value;
       m.slot = &slot;
 #ifndef PIMDS_OBS_DISABLED
       m.req_id = rid;
 #endif
-      system_.send(enq_cid_.value.load(std::memory_order_acquire), m);
+      system_.send(role.load(std::memory_order_acquire), m);
       if (obs_on) {
         obs::record_runtime_phase(obs::Phase::kIssue,
                                   now_ns() - attempt_start);
       }
     }
-    if (slot.await().accepted) break;
+    r = slot.await();
+    if (r.accepted) break;
     rejections_.value.fetch_add(1, std::memory_order_relaxed);
     qmetrics().rejections.add(1);
     obs::trace_instant_here("cpu_retry", "queue");
@@ -402,59 +180,9 @@ void PimFifoQueue::enqueue(std::uint64_t value) {
   }
   if (rid != 0) {
     obs::trace_complete_here("op", "queue", op_start, {"req", rid},
-                             {"enq", 1});
+                             {"enq", is_enq ? 1u : 0u});
   }
-}
-
-std::optional<std::uint64_t> PimFifoQueue::dequeue() {
-  ResponseSlot<Reply> slot;
-  const bool obs_on = obs::metrics_enabled();
-  const std::uint64_t rid = obs::trace_enabled() ? obs::next_request_id() : 0;
-  const std::uint64_t op_start = (obs_on || rid != 0) ? now_ns() : 0;
-  std::optional<std::uint64_t> out;
-  for (;;) {
-    if (options_.cpu_combining) {
-      RequestCombiner::Entry e{};
-      e.kind = kDeq;
-      e.slot = &slot;
-#ifndef PIMDS_OBS_DISABLED
-      e.req_id = rid;
-#endif
-      deq_combiner_.submit(e, [this](Message& m) {
-        m.kind = kDeqBatch;
-        system_.send(deq_cid_.value.load(std::memory_order_acquire), m);
-      });
-    } else {
-      const std::uint64_t attempt_start = obs_on ? now_ns() : 0;
-      Message m;
-      m.kind = kDeq;
-      m.slot = &slot;
-#ifndef PIMDS_OBS_DISABLED
-      m.req_id = rid;
-#endif
-      system_.send(deq_cid_.value.load(std::memory_order_acquire), m);
-      if (obs_on) {
-        obs::record_runtime_phase(obs::Phase::kIssue,
-                                  now_ns() - attempt_start);
-      }
-    }
-    const Reply r = slot.await();
-    if (r.accepted) {
-      if (r.has_value) out = r.value;
-      break;
-    }
-    rejections_.value.fetch_add(1, std::memory_order_relaxed);
-    qmetrics().rejections.add(1);
-    obs::trace_instant_here("cpu_retry", "queue");
-  }
-  if (obs_on) {
-    obs::record_runtime_phase(obs::Phase::kTotal, now_ns() - op_start);
-  }
-  if (rid != 0) {
-    obs::trace_complete_here("op", "queue", op_start, {"req", rid},
-                             {"enq", 0});
-  }
-  return out;
+  return r;
 }
 
 }  // namespace pimds::core

@@ -141,7 +141,7 @@ class Mailbox {
   }
 
   /// Non-blocking single-message receive: the next deliverable message, or
-  /// nullopt if none is ready yet (used by handler-side combining drains).
+  /// nullopt if none is ready yet.
   std::optional<Message> poll_ready() {
     auto& injector = LatencyInjector::instance();
     if (!injector.enabled()) {

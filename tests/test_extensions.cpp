@@ -107,8 +107,16 @@ TEST(AutoRebalancer, SpreadsAZipfHotSpot) {
       list.contains(zipf.next(rng) + 1);
     }
   });
-  // Give the policy a few periods to act.
+  // Give the policy a few periods to act — on a host with more runnable
+  // threads than cores, as many more as it takes to see the split land.
   std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while ((rebalancer.migrations_triggered() == 0 ||
+          list.partitions().size() <= 4) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
   stop.store(true);
   worker.join();
   rebalancer.stop();

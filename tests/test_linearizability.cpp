@@ -1,27 +1,24 @@
 // The linearizability oracle (src/check/): hand-built histories exercising
 // each sequential spec and each violation class, then recorded histories
-// from every real-thread queue and set in the library, then simulator runs
-// recorded through the same types — one checker for both worlds.
+// from every real-thread set in the library, then simulator runs recorded
+// through the same types — one checker for both worlds. Real-thread queue
+// histories are recorded and checked in test_fifo_checker.cpp.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <random>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "baselines/faa_queue.hpp"
 #include "baselines/fc_structures.hpp"
 #include "baselines/hoh_list.hpp"
 #include "baselines/lazy_list.hpp"
 #include "baselines/lockfree_skiplist.hpp"
-#include "baselines/ms_queue.hpp"
 #include "check/history.hpp"
 #include "check/linearizability.hpp"
 #include "check/spec.hpp"
 #include "common/fifo_checker.hpp"
-#include "core/pim_fifo_queue.hpp"
 #include "core/pim_linked_list.hpp"
 #include "core/pim_skiplist.hpp"
 #include "sim/ds/linked_lists.hpp"
@@ -33,8 +30,7 @@ namespace pimds {
 namespace {
 
 // TSan slows the recording runs by an order of magnitude AND lengthens the
-// genuinely-concurrent windows the WGL search must permute (a queue history
-// cannot partition, so its cost grows quickly with overlap). Shrink the
+// genuinely-concurrent windows the WGL search must permute. Shrink the
 // workloads so the sanitizer CI leg finishes; schedule diversity, not
 // volume, is what the TSan runs add.
 #if defined(__SANITIZE_THREAD__)
@@ -45,10 +41,8 @@ namespace {
 #endif
 #endif
 #ifdef PIMDS_TSAN_BUILD
-constexpr std::uint64_t kQueuePerProducer = 300;
 constexpr std::uint64_t kSetOpsPerThread = 400;
 #else
-constexpr std::uint64_t kQueuePerProducer = 1500;
 constexpr std::uint64_t kSetOpsPerThread = 1200;
 #endif
 
@@ -264,87 +258,10 @@ TEST(MapSpecCheck, LastWriterWinsReadsAndErase) {
 }
 
 // ---------------------------------------------------------------------------
-// Real-thread harnesses: record check/ histories from every queue and set
-// in the library, then check them. Values are tagged per producer so every
-// enqueued value is unique (QueueSpec matches dequeues by value).
+// Real-thread harnesses: record check/ histories from every set in the
+// library, then check them. (Every real-thread queue is recorded and checked
+// by test_fifo_checker.cpp, against both oracles at once.)
 // ---------------------------------------------------------------------------
-
-template <typename Queue>
-check::History record_queue_run(Queue& queue, int producers, int consumers,
-                                std::uint64_t per_producer) {
-  check::HistoryRecorder recorder(producers + consumers);
-  std::atomic<int> producers_done{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < producers; ++p) {
-    threads.emplace_back([&, p] {
-      check::ThreadLog& log = recorder.log(p);
-      for (std::uint64_t i = 0; i < per_producer; ++i) {
-        const std::uint64_t value =
-            ((static_cast<std::uint64_t>(p) + 1) << 48) | i;
-        log.begin(check::kEnq, value);
-        queue.enqueue(value);
-        log.end(check::kRetTrue);
-      }
-      producers_done.fetch_add(1);
-    });
-  }
-  for (int c = 0; c < consumers; ++c) {
-    threads.emplace_back([&, c] {
-      check::ThreadLog& log = recorder.log(producers + c);
-      std::uint64_t empties = 0;
-      for (;;) {
-        log.begin(check::kDeq, 0);
-        const auto v = queue.dequeue();
-        if (v.has_value()) {
-          log.end(*v);
-          empties = 0;
-        } else {
-          // An empty result doesn't mutate the abstract queue, so sampling
-          // is sound — recording every probe of this spin loop would bloat
-          // the history without adding checking power.
-          if (empties++ % 256 == 0) {
-            log.end(check::kRetEmpty);
-          } else {
-            log.abandon();
-          }
-          if (producers_done.load() == producers) break;
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  return recorder.collect();
-}
-
-TEST(CheckedQueueHistories, MsQueueIsLinearizable) {
-  baselines::MsQueue q;
-  const auto r = check::check_queue_history(record_queue_run(q, 2, 2, kQueuePerProducer));
-  EXPECT_TRUE(r.ok()) << r.error;
-}
-
-TEST(CheckedQueueHistories, FaaQueueIsLinearizable) {
-  baselines::FaaQueue q;
-  const auto r = check::check_queue_history(record_queue_run(q, 2, 2, kQueuePerProducer));
-  EXPECT_TRUE(r.ok()) << r.error;
-}
-
-TEST(CheckedQueueHistories, FcQueueIsLinearizable) {
-  baselines::FcQueue q;
-  const auto r = check::check_queue_history(record_queue_run(q, 2, 2, kQueuePerProducer));
-  EXPECT_TRUE(r.ok()) << r.error;
-}
-
-TEST(CheckedQueueHistories, PimFifoQueueIsLinearizable) {
-  runtime::PimSystem::Config config;
-  config.num_vaults = 4;
-  runtime::PimSystem system(config);
-  core::PimFifoQueue queue(system, {128, true});
-  system.start();
-  const auto r =
-      check::check_queue_history(record_queue_run(queue, 2, 2, kQueuePerProducer));
-  system.stop();
-  EXPECT_TRUE(r.ok()) << r.error;
-}
 
 /// Drive any add/remove/contains set with recording threads over a small
 /// key range (small ranges maximize per-key contention, which is where

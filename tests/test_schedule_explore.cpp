@@ -44,8 +44,7 @@ check::Trial queue_trial(sim::QueueFault fault) {
     cfg.recorder = &recorder;
     sim::PimQueueOptions opts;
     opts.segment_threshold = 16;
-    opts.fault = fault;
-    sim::run_pim_queue(cfg, opts);
+    sim::run_pim_queue(cfg, opts, fault);
     check::QueueSpec::State initial;
     for (std::size_t i = 0; i < cfg.initial_nodes; ++i)
       initial.items.push_back(i);

@@ -261,14 +261,14 @@ TEST(SimClaims, C7PimQueueBeatsFcByTwoAndFaaByThree) {
 }
 
 TEST(SimClaims, RoundRobinPlacementCanSerializeTheTwoRoles) {
-  // The ablation behind SegmentPlacement::kOppositeDequeueCore: strict
+  // The ablation behind PimQueueOptions::antipodal_placement: strict
   // round-robin lets the enqueue and dequeue roles co-reside.
   QueueConfig cfg = queue_config();
   const test::SimSeed seed(cfg.seed);
   cfg.seed = seed;
   cfg.initial_nodes = 64 * 1024;  // exact multiple: roles collide at t=0
   PimQueueOptions rr;
-  rr.placement = SegmentPlacement::kRoundRobin;
+  rr.antipodal_placement = false;
   const PimQueueResult r = run_pim_queue(cfg, rr);
   EXPECT_GT(r.co_resident_ops, r.run.total_ops / 4)
       << "expected heavy co-residency under round-robin placement";
