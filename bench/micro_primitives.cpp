@@ -1,10 +1,12 @@
 // Google-benchmark microbenchmarks for the substrate primitives: fiber
 // switches, virtual-time scheduling, the MPMC mailbox transport, the
 // reclamation seam (EBR vs hazard pointers, read side and retire side),
-// RNG, and the latency injector. These bound the overheads that the
-// emulation adds on top of the modeled latencies.
+// RNG, the latency injector, and the wake-up of the runtime's sleeping
+// waits. These bound the overheads that the emulation adds on top of the
+// modeled latencies.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <string>
@@ -14,6 +16,8 @@
 #include "common/mpmc_queue.hpp"
 #include "common/reclaim.hpp"
 #include "common/rng.hpp"
+#include "common/spinwait.hpp"
+#include "common/timing.hpp"
 #include "common/zipf.hpp"
 #include "obs/obs.hpp"
 #include "sim/engine.hpp"
@@ -207,6 +211,62 @@ void BM_LatencyInjectionPim(benchmark::State& state) {
 }
 BENCHMARK(BM_LatencyInjectionPim)->Arg(200)->Arg(1000)->Arg(5000);
 
+// --- Slot wake-up: how late the runtime's sleeping waits return. ---
+// Every round trip ends in one of these (ResponseSlot::await sleeps through
+// the reply flight, the vault's idle loop through the request flight), so
+// their overshoot is the per-wait floor under the cpu_receive and
+// mailbox_queue phases. Counters are in ns; each iteration is one wait.
+
+void report_overshoot(benchmark::State& state,
+                      std::vector<std::uint64_t>& late_ns) {
+  if (late_ns.empty()) return;
+  std::sort(late_ns.begin(), late_ns.end());
+  double sum = 0.0;
+  for (const std::uint64_t v : late_ns) sum += static_cast<double>(v);
+  state.counters["overshoot_mean_ns"] =
+      sum / static_cast<double>(late_ns.size());
+  state.counters["overshoot_p99_ns"] =
+      static_cast<double>(late_ns[(late_ns.size() - 1) * 99 / 100]);
+}
+
+/// wait_until_ns at a deadline `range(0)` us out: how far past the deadline
+/// it returns. Below its sleep threshold it only spins; past it, it sleeps
+/// to the deadline minus its slack and spins the tail.
+void BM_WaitUntilOvershoot(benchmark::State& state) {
+  const auto ahead_ns = static_cast<std::uint64_t>(state.range(0)) * 1000;
+  std::vector<std::uint64_t> late_ns;
+  late_ns.reserve(state.max_iterations);
+  for (auto _ : state) {
+    const std::uint64_t deadline = now_ns() + ahead_ns;
+    wait_until_ns(deadline);
+    late_ns.push_back(now_ns() - deadline);
+  }
+  report_overshoot(state, late_ns);
+}
+BENCHMARK(BM_WaitUntilOvershoot)
+    ->Arg(10)->Arg(30)->Arg(100)->Iterations(2000)->UseRealTime();
+
+/// One SpinWait sleep step (its first, 2 us sleep): how far past the
+/// requested sleep the step returns. This is the raw timed-sleep wake-up
+/// latency, with nothing spinning the tail.
+void BM_SpinWaitSleepStep(benchmark::State& state) {
+  constexpr std::uint64_t kFirstSleepNs = 2'000;
+  std::vector<std::uint64_t> late_ns;
+  late_ns.reserve(state.max_iterations);
+  for (auto _ : state) {
+    state.PauseTiming();
+    SpinWait spin(0);
+    for (int i = 0; i < 64; ++i) spin.wait();  // the yield tier
+    state.ResumeTiming();
+    const std::uint64_t t0 = now_ns();
+    spin.wait();
+    const std::uint64_t took = now_ns() - t0;
+    late_ns.push_back(took > kFirstSleepNs ? took - kFirstSleepNs : 0);
+  }
+  report_overshoot(state, late_ns);
+}
+BENCHMARK(BM_SpinWaitSleepStep)->Iterations(2000)->UseRealTime();
+
 }  // namespace
 
 namespace {
@@ -232,6 +292,12 @@ class ForwardingReporter : public benchmark::ConsoleReporter {
         ops = static_cast<double>(run.iterations) / run.real_accumulated_time;
       }
       json_.record(run.benchmark_name(), {}, ops);
+      // User counters (e.g. the wake-up overshoots) become top-level
+      // facts named <benchmark>.<counter>.
+      for (const auto& [counter, value] : run.counters) {
+        if (counter == "items_per_second") continue;
+        json_.note(run.benchmark_name() + "." + counter, value);
+      }
     }
     benchmark::ConsoleReporter::ReportRuns(runs);
   }

@@ -3,8 +3,12 @@
 
     scripts/perf_gate.py --baseline-dir . --fresh-dir /tmp/run1 \
         [--fresh-dir /tmp/run2 ...]
+    scripts/perf_gate.py --baseline-dir . --self-check
 
-Compares freshly produced bench JSON against the committed baselines. To
+Compares freshly produced bench JSON against the committed baselines.
+--self-check instead holds every committed baseline to its own policy (each
+file is its own single fresh run), so a baseline that could never pass the
+gate it is meant to anchor fails here. To
 stay non-flaky in CI the gate is built on three ideas:
 
   * Paired comparison, best-of-N: each --fresh-dir is one full run;
@@ -350,7 +354,7 @@ def main():
     ap.add_argument(
         "--fresh-dir",
         action="append",
-        required=True,
+        default=[],
         help="directory with freshly produced BENCH_*.json (repeatable; "
         "best-of-N across all given directories)",
     )
@@ -360,7 +364,17 @@ def main():
         help="gate only this bench (repeatable; must name a known gate). "
         "For focused smoke runs, e.g. the tier-1 latency smoke.",
     )
+    ap.add_argument(
+        "--self-check",
+        action="store_true",
+        help="gate each committed baseline against its own policy instead "
+        "of fresh runs",
+    )
     args = ap.parse_args()
+    if args.self_check == bool(args.fresh_dir):
+        print("perf_gate: give --fresh-dir or --self-check (not both)",
+              file=sys.stderr)
+        return 1
 
     gates = GATES
     if args.only:
@@ -381,6 +395,11 @@ def main():
         if not base_path.exists():
             problem(f"no committed baseline {base_path}")
             continue
+        baseline = load(base_path)
+        if args.self_check:
+            gate_bench(name, policy, baseline, [baseline])
+            gated += 1
+            continue
         fresh_docs = []
         for d in args.fresh_dir:
             p = pathlib.Path(d) / f"BENCH_{name}.json"
@@ -392,7 +411,7 @@ def main():
             # but absent from EVERY fresh dir means it never ran.
             problem(f"{name}: no fresh BENCH_{name}.json in any --fresh-dir")
             continue
-        gate_bench(name, policy, load(base_path), fresh_docs)
+        gate_bench(name, policy, baseline, fresh_docs)
         gated += 1
 
     if failures:

@@ -28,6 +28,7 @@ LockFreeSkipList::Node* LockFreeSkipList::make_node(std::uint64_t key,
   auto* node = static_cast<Node*>(operator new(bytes));
   node->key = key;
   node->top_level = top_level;
+  ::new (&node->holds) std::atomic<std::uint32_t>(top_level > 0 ? 2 : 1);
   for (int lvl = 0; lvl <= top_level; ++lvl) {
     ::new (&node->next[lvl]) std::atomic<std::uintptr_t>(0);
   }
@@ -140,10 +141,6 @@ bool LockFreeSkipList::add(std::uint64_t key) {
       node->next[lvl].store(tag(succs[lvl], false),
                             std::memory_order_relaxed);
     }
-    // The node becomes shared at the bottom splice, after which a racing
-    // remove may retire it mid-tower-build — pin it first (it is still
-    // private here, so the raw publish cannot miss a retirement).
-    guard.republish(kSlotSelf, node);
     // Linearization: splice at the bottom level.
     std::uintptr_t expected = tag(succs[0], false);
     if (!preds[0]->next[0].compare_exchange_strong(
@@ -152,38 +149,48 @@ bool LockFreeSkipList::add(std::uint64_t key) {
     }
     charge_atomic();
     size_.fetch_add(1, std::memory_order_relaxed);
-    // Build the tower; helpers may be unlinking concurrently, so refresh
-    // the windows whenever a splice fails.
-    for (int lvl = 1; lvl <= top; ++lvl) {
-      for (;;) {
-        std::uintptr_t mine = node->next[lvl].load(std::memory_order_acquire);
-        if (marked(mine)) return true;  // removed while being built: stop
-        expected = tag(succs[lvl], false);
-        if (preds[lvl]->next[lvl].compare_exchange_strong(
-                expected, tag(node, false), std::memory_order_acq_rel)) {
-          charge_atomic();
-          break;
-        }
-        find(guard, key, preds, succs);  // refresh preds/succs
-        if (succs[lvl] != node) {
-          // The node got removed (and possibly unlinked) at this level
-          // before we could splice it in; abandon the upper tower.
-          return true;
-        }
-        const std::uintptr_t updated =
-            node->next[lvl].load(std::memory_order_acquire);
-        if (marked(updated)) return true;
-        if (ptr_of(updated) != succs[lvl]) {
-          std::uintptr_t want = updated;
-          if (!node->next[lvl].compare_exchange_strong(
-                  want, tag(succs[lvl], false), std::memory_order_acq_rel)) {
-            return true;  // concurrently marked
-          }
-        }
-      }
+    if (top > 0) {
+      // The builder's hold keeps the node from being retired under it, so
+      // the build needs no hazard of its own.
+      build_tower(node, preds, succs);
+      release(guard, node);
     }
     return true;
   }
+}
+
+void LockFreeSkipList::build_tower(Node* node, Node* const* preds,
+                                   Node* const* succs) {
+  // Link bottom-up through the windows of add()'s find and stop at the
+  // first level that cannot be linked as found (a shorter tower is still a
+  // valid skip list). Three things stop it: a remover's mark; a failed
+  // splice (the window moved); and a successor with this same key. That
+  // successor is an older node whose removal was already under way when
+  // this node's bottom splice succeeded, so it is marked; linking in front
+  // of it would hide it behind a live node with its key, past where its
+  // remover's unlinking find stops, and it would be freed while reachable.
+  for (int lvl = 1; lvl <= node->top_level; ++lvl) {
+    if (succs[lvl]->key == node->key) return;
+    if (marked(node->next[lvl].load(std::memory_order_acquire))) return;
+    std::uintptr_t expected = tag(succs[lvl], false);
+    if (!preds[lvl]->next[lvl].compare_exchange_strong(
+            expected, tag(node, false), std::memory_order_acq_rel)) {
+      return;
+    }
+    charge_atomic();
+  }
+}
+
+void LockFreeSkipList::release(ReclaimGuard& guard, Node* node) {
+  if (node->holds.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  // Both sides are done: the node is marked on every level and nothing
+  // links it again, so one helping find unlinks it everywhere. The find
+  // reaches it on every level because no live node with its key is ever
+  // linked in front of it (build_tower).
+  Node* preds[kMaxHeight];
+  Node* succs[kMaxHeight];
+  find(guard, node->key, preds, succs);
+  guard.retire(node, &LockFreeSkipList::free_node);
 }
 
 bool LockFreeSkipList::remove(std::uint64_t key) {
@@ -212,8 +219,7 @@ bool LockFreeSkipList::remove(std::uint64_t key) {
     }
   }
   size_.fetch_sub(1, std::memory_order_relaxed);
-  find(guard, key, preds, succs);  // physically unlink via helping
-  guard.retire(victim, &LockFreeSkipList::free_node);
+  release(guard, victim);
   return true;
 }
 

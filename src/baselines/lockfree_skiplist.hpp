@@ -56,22 +56,25 @@ class LockFreeSkipList {
   struct Node {
     std::uint64_t key;
     std::int32_t top_level;  // links exist on [0, top_level]
+    // Parties that may still link or unlink the node: its tower builder
+    // (only while top_level > 0) and the remover that wins level 0. The
+    // last to let go unlinks every level and retires the node (release()).
+    std::atomic<std::uint32_t> holds;
     std::atomic<std::uintptr_t> next[1];
   };
 
   // Hazard-slot layout. The traversal slots rotate hand-over-hand; the
   // per-level slots keep every preds[lvl]/succs[lvl] pinned from the find()
   // that produced them until the guard (or the next find) releases them.
-  // Max slot used: succ_slot(15) = 35 < Reclaimer::kGuardSlots.
+  // Max slot used: succ_slot(15) = 34 < Reclaimer::kGuardSlots.
   static constexpr unsigned kSlotPred = 0;
   static constexpr unsigned kSlotCurr = 1;
   static constexpr unsigned kSlotSucc = 2;
-  static constexpr unsigned kSlotSelf = 3;  // add()'s own node during build
   static constexpr unsigned pred_slot(int lvl) noexcept {
-    return 4 + 2 * static_cast<unsigned>(lvl);
+    return 3 + 2 * static_cast<unsigned>(lvl);
   }
   static constexpr unsigned succ_slot(int lvl) noexcept {
-    return 5 + 2 * static_cast<unsigned>(lvl);
+    return 4 + 2 * static_cast<unsigned>(lvl);
   }
 
   static Node* make_node(std::uint64_t key, int top_level);
@@ -84,6 +87,17 @@ class LockFreeSkipList {
   /// per-level slot.
   bool find(ReclaimGuard& guard, std::uint64_t key, Node** preds,
             Node** succs);
+
+  /// Links `node` (already spliced at level 0) on levels 1..top_level
+  /// through the windows its find produced, stopping at the first level
+  /// that cannot be linked as found.
+  void build_tower(Node* node, Node* const* preds, Node* const* succs);
+
+  /// Drops one hold on `node`; the last holder unlinks it from every level
+  /// and retires it. A node must be unreachable when it is retired, and a
+  /// tower build that lost the race to a remover can still link a level
+  /// after the remover's unlinking find — so neither side retires alone.
+  void release(ReclaimGuard& guard, Node* node);
 
   int random_height();
 

@@ -6,7 +6,9 @@
 // short, exponentially growing sleeps. On a machine with fewer cores than
 // runnable threads, bare spinning starves the thread being waited on, and
 // even yield loops tax the scheduler once many waiters churn the runqueue —
-// sleeping waiters cost nothing until their wakeup.
+// sleeping waiters cost nothing until their wakeup. The sleeps run at the
+// tight timer slack `tighten_timer_slack()` sets, so each one lasts about
+// what it asks for instead of the kernel's default 50 us more.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +36,7 @@ class SpinWait {
       // delivery latency): stop taxing the runqueue. Bounded so the wakeup
       // lag stays small against the latency scales being injected.
       timespec ts{0, static_cast<long>(sleep_ns_)};
+      tighten_timer_slack();
       ::nanosleep(&ts, nullptr);
       if (sleep_ns_ < kMaxSleepNs) sleep_ns_ *= 2;
     }

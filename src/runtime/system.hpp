@@ -18,6 +18,14 @@
 // the core's service rate approaches 1/Lpim instead of 1/(Lmessage + Lpim).
 // Config::batch_drain / Config::pipelined_responses turn either half off
 // for ablations (the seed per-message path is batch_drain = false).
+//
+// Waiting is tiered on both sides: the core's idle loop and gather window,
+// ResponseSlot::await and RequestCombiner::submit spin, then yield, then
+// sleep (common/spinwait.hpp, wait_until_ns). Those sleeps wake on time
+// because the first one a thread takes sets that thread's timer slack to
+// 1 ns (tighten_timer_slack). Side effect: a caller thread that sleeps
+// inside the library keeps the tighter slack for the rest of its life, and
+// threads it spawns inherit it; threads that never wait here are untouched.
 #pragma once
 
 #include <atomic>

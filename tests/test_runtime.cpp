@@ -2,6 +2,10 @@
 // mailbox timing/ordering, response slots, and the PimSystem core loop.
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
+
 #include <atomic>
 #include <new>
 #include <set>
@@ -225,6 +229,79 @@ TEST(PimSystem, StopDrainsPendingMessages) {
   system.stop();  // must not lose the backlog
   EXPECT_EQ(handled.load(), 500);
 }
+
+#if defined(__linux__)
+// Timer slack is per thread: the library tightens it on the threads that
+// sleep inside it (the vault core, a client awaiting a reply) and on no
+// other. Every thread here starts from an explicit default-sized slack, so
+// the result does not depend on what earlier tests did to the test thread.
+// The loops are bounded by op count, never by elapsed time: with a 1 ms
+// Lmessage each op has a millisecond-scale flight to sleep through, so one
+// op almost always suffices.
+constexpr unsigned long kDefaultSlackNs = 50'000;
+constexpr unsigned long kTightSlackNs = 1'000;
+
+unsigned long timer_slack_ns() {
+  return static_cast<unsigned long>(::prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0));
+}
+
+TEST(TimerSlack, LibrarySleepersWakeOnTimeAndBystandersKeepTheirSlack) {
+  const unsigned long saved = timer_slack_ns();
+  ASSERT_EQ(::prctl(PR_SET_TIMERSLACK, kDefaultSlackNs, 0, 0, 0), 0);
+
+  // Spawned from a thread with the default slack, before anything sleeps.
+  std::atomic<bool> done{false};
+  std::atomic<unsigned long> bystander_start{0};
+  std::atomic<unsigned long> bystander_end{0};
+  std::thread bystander([&] {
+    bystander_start.store(timer_slack_ns());
+    while (!done.load(std::memory_order_acquire)) std::this_thread::yield();
+    bystander_end.store(timer_slack_ns());
+  });
+
+  PimSystem::Config config;
+  config.num_vaults = 1;
+  config.inject_latency = true;
+  config.params.pim_ns = 1'000'000.0 / config.params.r1;  // Lmessage = 1 ms
+  PimSystem system(config);
+  std::atomic<unsigned long> handler_slack{kDefaultSlackNs};
+  system.set_handler(0, [&](PimCoreApi& api, const Message& m) {
+    handler_slack.store(timer_slack_ns());
+    static_cast<ResponseSlot<int>*>(m.slot)->publish(1, api.reply_ready_ns());
+  });
+  system.start();  // the vault thread inherits the default slack
+
+  std::atomic<unsigned long> client_slack{0};
+  std::thread client([&] {
+    ASSERT_EQ(::prctl(PR_SET_TIMERSLACK, kDefaultSlackNs, 0, 0, 0), 0);
+    ResponseSlot<int> slot;
+    for (int op = 0; op < 200; ++op) {
+      Message m;
+      m.slot = &slot;
+      system.send(0, m);
+      ASSERT_EQ(slot.await(), 1);
+      if (timer_slack_ns() <= kTightSlackNs &&
+          handler_slack.load() <= kTightSlackNs) {
+        break;
+      }
+    }
+    client_slack.store(timer_slack_ns());
+  });
+  client.join();
+  system.stop();
+  done.store(true, std::memory_order_release);
+  bystander.join();
+  ::prctl(PR_SET_TIMERSLACK, saved, 0, 0, 0);
+
+  EXPECT_LE(handler_slack.load(), kTightSlackNs)
+      << "the vault handler ran on a thread that sleeps at the default slack";
+  EXPECT_LE(client_slack.load(), kTightSlackNs)
+      << "a client that slept in await() kept the default slack";
+  EXPECT_EQ(bystander_start.load(), kDefaultSlackNs);
+  EXPECT_EQ(bystander_end.load(), kDefaultSlackNs)
+      << "a thread that never slept in the library had its slack changed";
+}
+#endif
 
 }  // namespace
 }  // namespace pimds::runtime
