@@ -2,8 +2,9 @@
 # Tier-1 verification (ROADMAP.md): standard build + full ctest, then the
 # runtime message-path tests again under ThreadSanitizer (the mailbox drain /
 # response pipelining code is exactly the kind of lock-free code TSan exists
-# for), and the reclamation seam under ASan+LSan (a reclamation bug is either
-# a use-after-free or a leak — exactly what that pair detects).
+# for), and the reclamation seam plus the vault structures under ASan+LSan (a
+# reclamation or node bug is either a use-after-free, an out-of-bounds write
+# or a leak — exactly what that pair detects).
 # Usage: scripts/tier1.sh [--skip-tsan] [--skip-asan]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -151,15 +152,22 @@ if [[ "$skip_tsan" == 0 ]]; then
 fi
 
 if [[ "$skip_asan" == 0 ]]; then
-  echo "== tier-1: reclamation seam under ASan + LSan =="
+  echo "== tier-1: reclamation seam and vault structures under ASan + LSan =="
   cmake --preset asan > /dev/null
   cmake --build build-asan -j --target test_reclaim test_baselines \
-    test_mpmc_ebr soak_reclamation
+    test_mpmc_ebr soak_reclamation test_core_units test_extensions \
+    test_core_structures test_mailbox_batch
   # LSan runs at exit by default under ASan: any node a policy drops on the
   # floor (or frees twice) fails here even if no test assertion notices.
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_reclaim
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_baselines
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_mpmc_ebr
+  # Vault-side node code (fat-node index, queue segments) and the fat-
+  # message arena, whose pool blocks must be released at exit.
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_core_units
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_extensions
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_core_structures
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_mailbox_batch
   # Cap the malloc quarantine: its default (256 MB) parks freed churn nodes
   # in RSS and would trip the soak's leak ceiling without any actual leak.
   ASAN_OPTIONS="halt_on_error=1:quarantine_size_mb=32" \

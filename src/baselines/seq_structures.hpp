@@ -72,7 +72,8 @@ class SeqList {
   std::size_t size_ = 0;
 };
 
-/// Sequential skip-list (heap-allocated twin of core::LocalSkipList).
+/// Sequential skip-list, one key per node on the heap: the paper's layout,
+/// as sim/ds/skiplist_common.hpp's SimSkipList keeps it for the simulator.
 class SeqSkipList {
  public:
   static constexpr int kMaxHeight = 16;

@@ -56,13 +56,10 @@ PimSkipList::PimSkipList(runtime::PimSystem& system, Options options)
   }
   for (std::size_t v = 0; v < system_.num_vaults(); ++v) {
     auto state = std::make_unique<VaultState>();
-    // Every vault's local sentinel is the GLOBAL minimum (key_min - 1), not
-    // its initial partition bound: migrations may later hand this vault a
-    // range below the range it started with (Section 4.2.1), and the local
-    // structure must be able to hold any key. Range routing is the
-    // directory's job, not the local skip-list's.
-    state->list = std::make_unique<LocalSkipList>(
-        system_.vault(v), options_.key_min - 1, options_.seed + v);
+    // The local index holds any key: migrations may later hand this vault
+    // a range below the one it started with (Section 4.2.1). Range routing
+    // is the directory's job, not the index's.
+    state->list = std::make_unique<VaultIndex>(system_.vault(v));
     vaults_.push_back(std::move(state));
     // Batch handler: ride the runtime's batched mailbox drain (no per-
     // message head-of-line stall) but serve strictly in arrival order —
@@ -348,7 +345,7 @@ void PimSkipList::handle(PimCoreApi& api, const Message& m) {
       assert(!vs.mig.active);
       vs.mig = Migration{true, /*outgoing=*/false, m.key, m.value,
                          static_cast<std::size_t>(m.sender), m.key};
-      vs.incoming_cursor = LocalSkipList::InsertCursor{};
+      vs.incoming_cursor = VaultIndex::InsertCursor{};
       break;
     case kMigNode: {
       std::uint64_t steps = 0;

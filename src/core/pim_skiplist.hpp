@@ -7,7 +7,9 @@
 // paper's protocol: the source keeps serving requests during the migration
 // (keys not yet migrated are served locally, already-migrated keys are
 // forwarded to the target), the directory is updated when the hand-over
-// completes, and stale requests are rejected so the CPU re-routes.
+// completes, and stale requests are rejected so the CPU re-routes. Each
+// vault keeps its keys in a fat-node VaultIndex (core/vault_index.hpp), so
+// an operation's beta is the index height rather than a skip-list search.
 #pragma once
 
 #include <atomic>
@@ -18,8 +20,8 @@
 #include <vector>
 
 #include "common/cacheline.hpp"
-#include "core/local_skiplist.hpp"
 #include "core/sentinel_directory.hpp"
+#include "core/vault_index.hpp"
 #include "obs/loadmap.hpp"
 #include "runtime/combiner.hpp"
 #include "runtime/system.hpp"
@@ -31,7 +33,6 @@ class PimSkipList {
   struct Options {
     std::uint64_t key_min = 1;            ///< smallest usable key
     std::uint64_t key_max = 1u << 20;     ///< largest usable key
-    std::uint64_t seed = 42;              ///< tower-height RNG seed
     std::size_t migrate_chunk = 32;       ///< nodes moved per migration step
   };
 
@@ -144,11 +145,11 @@ class PimSkipList {
   };
 
   struct VaultState {
-    std::unique_ptr<LocalSkipList> list;
+    std::unique_ptr<VaultIndex> list;
     Migration mig;
     /// Target-side fingers: kMigNode keys arrive ascending, so inserts are
     /// amortized O(1) (dual of the source's amortized extraction).
-    LocalSkipList::InsertCursor incoming_cursor;
+    VaultIndex::InsertCursor incoming_cursor;
     /// Direct requests for an incoming range, deferred until kMigEnd so
     /// they cannot overtake in-flight kMigNode messages.
     std::deque<runtime::Message> deferred;

@@ -1,0 +1,300 @@
+#include "core/vault_index.hpp"
+
+#include <algorithm>
+#include <cassert>
+
+namespace pimds::core {
+
+namespace {
+
+template <typename T>
+void insert_slot(T* arr, int count, int pos, T value) {
+  std::copy_backward(arr + pos, arr + count, arr + count + 1);
+  arr[pos] = value;
+}
+
+template <typename T>
+void erase_slot(T* arr, int count, int pos) {
+  std::copy(arr + pos + 1, arr + count, arr + pos);
+}
+
+}  // namespace
+
+VaultIndex::VaultIndex(runtime::Vault& vault)
+    : vault_(vault), root_(make_node(/*leaf=*/true)) {}
+
+VaultIndex::Node* VaultIndex::make_node(bool leaf) {
+  Node* node = static_cast<Node*>(vault_.allocate(sizeof(Node), alignof(Node)));
+  node->count = 0;
+  node->leaf = leaf;
+  return node;
+}
+
+void VaultIndex::free_node(Node* node) {
+  vault_.deallocate(node, sizeof(Node), alignof(Node));
+}
+
+int VaultIndex::seek(const Node* leaf, std::uint64_t key) {
+  return static_cast<int>(
+      std::lower_bound(leaf->key, leaf->key + leaf->count, key) - leaf->key);
+}
+
+std::uint64_t VaultIndex::descend(std::uint64_t key, Path& path) const {
+  Node* node = root_;
+  for (int level = 0; level < height_ - 1; ++level) {
+    int s = node->count - 1;
+    while (s > 0 && node->in.sep[s] > key) --s;
+    path.node[level] = node;
+    path.slot[level] = static_cast<std::uint8_t>(s);
+    node = node->in.child[s];
+  }
+  path.node[height_ - 1] = node;
+  return static_cast<std::uint64_t>(height_);
+}
+
+void VaultIndex::bound(Finger& f) const {
+  f.lo = 0;
+  f.has_hi = false;
+  for (int level = height_ - 2; level >= 0; --level) {
+    const Node* node = f.path.node[level];
+    const int s = f.path.slot[level];
+    if (!f.has_hi && s + 1 < node->count) {
+      f.hi = node->in.sep[s + 1];
+      f.has_hi = true;
+    }
+    if (s > 0) f.lo = std::max(f.lo, node->in.sep[s]);
+  }
+  f.valid = true;
+  f.epoch = mutation_epoch_;
+}
+
+std::uint64_t VaultIndex::hold(Finger& f, std::uint64_t key) const {
+  if (f.valid && f.epoch == mutation_epoch_ && key >= f.lo &&
+      (!f.has_hi || key < f.hi)) {
+    return 0;
+  }
+  const std::uint64_t reads = descend(key, f.path);
+  bound(f);
+  return reads;
+}
+
+bool VaultIndex::insert_at(Path& path, std::uint64_t key,
+                           std::uint64_t& created) {
+  const int level = height_ - 1;
+  Node* leaf = path.node[level];
+  int pos = seek(leaf, key);
+  if (pos < leaf->count && leaf->key[pos] == key) return false;
+  Node* right = nullptr;
+  if (leaf->count == kLeafKeys) {
+    constexpr int kHalf = kLeafKeys / 2;
+    right = make_node(/*leaf=*/true);
+    ++created;
+    std::copy(leaf->key + kHalf, leaf->key + kLeafKeys, right->key);
+    right->count = kLeafKeys - kHalf;
+    leaf->count = kHalf;
+    if (pos >= kHalf) {
+      leaf = right;
+      pos -= kHalf;
+    }
+    path.node[level] = leaf;
+  }
+  insert_slot(leaf->key, leaf->count, pos, key);
+  ++leaf->count;
+  if (right != nullptr) link_split(path, level, right, leaf == right, created);
+  ++size_;
+  ++mutation_epoch_;
+  return true;
+}
+
+void VaultIndex::link_split(Path& path, int level, Node* right, bool follow,
+                            std::uint64_t& created) {
+  const std::uint64_t sep = right->leaf ? right->key[0] : right->in.sep[0];
+  if (level == 0) {
+    // Root split: a new root over the two halves adds a level.
+    assert(height_ < kMaxDepth);
+    Node* root = make_node(/*leaf=*/false);
+    ++created;
+    root->in.sep[0] = 0;  // entry 0's separator is never compared
+    root->in.child[0] = root_;
+    root->in.sep[1] = sep;
+    root->in.child[1] = right;
+    root->count = 2;
+    std::copy_backward(path.node, path.node + height_, path.node + height_ + 1);
+    std::copy_backward(path.slot, path.slot + height_, path.slot + height_ + 1);
+    path.node[0] = root;
+    path.slot[0] = follow ? 1 : 0;
+    root_ = root;
+    ++height_;
+    return;
+  }
+  Node* parent = path.node[level - 1];
+  int at = path.slot[level - 1] + 1;  // the new entry goes after its left half
+  int on = follow ? at : at - 1;      // the entry the path runs through
+  Node* target = parent;
+  Node* sibling = nullptr;
+  if (parent->count == kFanout) {
+    constexpr int kHalf = (kFanout + 1) / 2;
+    sibling = make_node(/*leaf=*/false);
+    ++created;
+    std::copy(parent->in.sep + kHalf, parent->in.sep + kFanout,
+              sibling->in.sep);
+    std::copy(parent->in.child + kHalf, parent->in.child + kFanout,
+              sibling->in.child);
+    sibling->count = kFanout - kHalf;
+    parent->count = kHalf;
+    if (at >= kHalf) {
+      target = sibling;
+      at -= kHalf;
+    }
+    if (on >= kHalf) {
+      path.node[level - 1] = sibling;
+      on -= kHalf;
+    }
+  }
+  insert_slot(target->in.sep, target->count, at, sep);
+  insert_slot(target->in.child, target->count, at, right);
+  ++target->count;
+  path.slot[level - 1] = static_cast<std::uint8_t>(on);
+  if (sibling != nullptr) {
+    link_split(path, level - 1, sibling, path.node[level - 1] == sibling,
+               created);
+  }
+}
+
+int VaultIndex::erase_at(Path& path, int pos) {
+  int level = height_ - 1;
+  Node* leaf = path.node[level];
+  erase_slot(leaf->key, leaf->count, pos);
+  --leaf->count;
+  --size_;
+  ++mutation_epoch_;
+  int removed_at = -1;
+  while (level > 0 && path.node[level]->count == 0) {
+    free_node(path.node[level]);
+    Node* parent = path.node[--level];
+    erase_slot(parent->in.sep, parent->count, path.slot[level]);
+    erase_slot(parent->in.child, parent->count, path.slot[level]);
+    --parent->count;
+    removed_at = level;
+  }
+  while (height_ > 1 && root_->count == 1) {
+    Node* old = root_;
+    root_ = old->in.child[0];
+    free_node(old);
+    --height_;
+  }
+  return removed_at;
+}
+
+int VaultIndex::next_leaf(Path& path, std::uint64_t& reads) const {
+  int fork = height_ - 2;
+  while (fork >= 0 && path.slot[fork] + 1 >= path.node[fork]->count) --fork;
+  if (fork < 0) return -1;
+  ++path.slot[fork];
+  for (int level = fork; level < height_ - 1; ++level) {
+    path.node[level + 1] = path.node[level]->in.child[path.slot[level]];
+    ++reads;
+    if (level + 1 < height_ - 1) path.slot[level + 1] = 0;
+  }
+  return fork;
+}
+
+bool VaultIndex::add(std::uint64_t key, std::uint64_t* steps) {
+  Path path;
+  std::uint64_t count = descend(key, path);
+  const bool inserted = insert_at(path, key, count);
+  if (steps != nullptr) *steps += count;
+  return inserted;
+}
+
+bool VaultIndex::remove(std::uint64_t key, std::uint64_t* steps) {
+  Path path;
+  const std::uint64_t reads = descend(key, path);
+  if (steps != nullptr) *steps += reads;
+  const Node* leaf = path.node[height_ - 1];
+  const int pos = seek(leaf, key);
+  if (pos == leaf->count || leaf->key[pos] != key) return false;
+  erase_at(path, pos);
+  return true;
+}
+
+bool VaultIndex::contains(std::uint64_t key, std::uint64_t* steps) const {
+  Path path;
+  const std::uint64_t reads = descend(key, path);
+  if (steps != nullptr) *steps += reads;
+  const Node* leaf = path.node[height_ - 1];
+  const int pos = seek(leaf, key);
+  return pos < leaf->count && leaf->key[pos] == key;
+}
+
+std::optional<std::uint64_t> VaultIndex::first_at_least(
+    std::uint64_t key) const {
+  Finger f;
+  for (;;) {
+    hold(f, key);
+    const Node* leaf = f.path.node[height_ - 1];
+    const int pos = seek(leaf, key);
+    if (pos < leaf->count) return leaf->key[pos];
+    if (!f.has_hi) return std::nullopt;
+    key = f.hi;  // ran off the leaf: re-descend to the next separator
+  }
+}
+
+std::optional<std::uint64_t> VaultIndex::extract_first_at_least(
+    std::uint64_t key, std::uint64_t* steps) {
+  Finger& f = extract_finger_;
+  std::uint64_t reads = 0;
+  for (;;) {
+    reads += hold(f, key);
+    const Node* leaf = f.path.node[height_ - 1];
+    const int pos = seek(leaf, key);
+    if (pos < leaf->count) {
+      const std::uint64_t out = leaf->key[pos];
+      if (leaf->count > 1 || height_ == 1) {
+        erase_at(f.path, pos);
+        f.epoch = mutation_epoch_;
+      } else {
+        // The leaf empties and is freed: step the finger to the next leaf
+        // first, then fix its path for the entry the free removes.
+        Path emptied = f.path;
+        const int fork = next_leaf(f.path, reads);
+        const int height = height_;
+        const int removed_at = erase_at(emptied, pos);
+        if (fork < 0) {
+          f.valid = false;
+        } else {
+          if (removed_at == fork) --f.path.slot[fork];
+          const int collapsed = height - height_;  // root levels dropped
+          std::copy(f.path.node + collapsed, f.path.node + height,
+                    f.path.node);
+          std::copy(f.path.slot + collapsed, f.path.slot + height,
+                    f.path.slot);
+          bound(f);
+          f.lo = out + 1;  // no key lies between `out` and the next leaf
+        }
+      }
+      if (steps != nullptr) *steps += reads;
+      return out;
+    }
+    if (!f.has_hi) {
+      if (steps != nullptr) *steps += reads;
+      return std::nullopt;
+    }
+    key = f.hi;
+  }
+}
+
+bool VaultIndex::insert_ascending(InsertCursor& cursor, std::uint64_t key,
+                                  std::uint64_t* steps) {
+  Finger& f = cursor.finger_;
+  const std::uint64_t reads = hold(f, key);
+  std::uint64_t count = reads;
+  const bool inserted = insert_at(f.path, key, count);
+  // A split moved the leaf's range; the path followed the key through it.
+  if (count != reads) bound(f);
+  f.epoch = mutation_epoch_;  // our own insert keeps the finger
+  if (steps != nullptr) *steps += count;
+  return inserted;
+}
+
+}  // namespace pimds::core

@@ -14,6 +14,13 @@ double estimate_beta(std::size_t size) {
   return std::max(1.0, 2.0 * std::log2(static_cast<double>(size)));
 }
 
+double fat_node_accesses(std::size_t size, int leaf_capacity, int fanout,
+                         double fill) {
+  const double leaves = static_cast<double>(size) / (fill * leaf_capacity);
+  if (leaves <= 1.0) return 1.0;
+  return 1.0 + std::log(leaves) / std::log(fill * fanout);
+}
+
 double lock_free_skiplist(const LatencyParams& lp, double beta,
                           std::size_t p) {
   return static_cast<double>(p) / (beta * lp.cpu() * kNsToSec);

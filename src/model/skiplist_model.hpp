@@ -2,7 +2,9 @@
 //
 // beta is the average number of nodes an operation accesses to locate its
 // key (Theta(log N)). The paper leaves beta abstract; callers either supply
-// a measured value (SimSkipList::observed_beta) or use estimate_beta().
+// a measured value (SimSkipList::observed_beta) or use estimate_beta() for
+// the paper's one-key skip list and fat_node_accesses() for the runtime's
+// fat-node vault index.
 #pragma once
 
 #include <cstddef>
@@ -15,6 +17,20 @@ namespace pimds::model {
 /// tower probability 1/2: ~2 * log2(size) steps (one right-move and one
 /// down-move per level on average), floored at 1.
 double estimate_beta(std::size_t size);
+
+/// Occupancy a B-tree settles at under random inserts when full nodes split
+/// in half: ln 2 (Yao, "On random 2-3 trees", 1978). The runtime vault
+/// index measures 0.70 in its leaves and 0.71-0.76 in its inner nodes at
+/// 8,192 uniform keys.
+inline constexpr double kRandomInsertFill = 0.6931471805599453;
+
+/// beta of the runtime's fat-node vault index (core::VaultIndex): node
+/// reads per search, which is the tree height. Leaves hold `leaf_capacity`
+/// keys and inner nodes `fanout` children, each filled to `fill`, so the
+/// height is 1 + log_(fill*fanout)(size / (fill*leaf_capacity)), floored
+/// at 1.
+double fat_node_accesses(std::size_t size, int leaf_capacity, int fanout,
+                         double fill = kRandomInsertFill);
 
 /// Table 2 row 1: lock-free skip-list, p threads in parallel.
 double lock_free_skiplist(const LatencyParams& lp, double beta, std::size_t p);

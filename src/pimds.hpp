@@ -31,11 +31,11 @@
 
 // Real-thread PIM emulation and the paper's data structures.
 #include "core/auto_rebalancer.hpp"
-#include "core/local_skiplist.hpp"
 #include "core/pim_fifo_queue.hpp"
 #include "core/pim_linked_list.hpp"
 #include "core/pim_skiplist.hpp"
 #include "core/sentinel_directory.hpp"
+#include "core/vault_index.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/message.hpp"
 #include "runtime/system.hpp"

@@ -44,10 +44,15 @@ void FatArena::release(FatEntry* block) {
   guard.retire(block, &FatArena::recycle);
 }
 
-// Runs when the reclaimer frees a retired block — possibly from the domain
-// destructor at process exit, which is why pool_ is declared before
-// reclaim_: the pool must outlive the domain so late reclaims still have
-// somewhere to push.
+// The arena is a function-local static, so this runs single-threaded at
+// process exit, after every PimSystem has joined its cores. Retired blocks
+// go back to the pool first; then the pool is emptied.
+FatArena::~FatArena() {
+  reclaim_->reclaim_all_unsafe();
+  while (std::optional<FatEntry*> block = pool_.try_pop()) delete[] *block;
+}
+
+// Runs when the reclaimer frees a retired block.
 void FatArena::recycle(void* p) {
   auto* block = static_cast<FatEntry*>(p);
   if (!instance().pool_.try_push(block)) delete[] block;

@@ -39,6 +39,10 @@ class FatArena {
 
   static FatArena& instance();
 
+  /// Process-exit teardown: frees every retired and pooled block, so leak
+  /// checkers see the pool released.
+  ~FatArena();
+
   FatArena(const FatArena&) = delete;
   FatArena& operator=(const FatArena&) = delete;
 

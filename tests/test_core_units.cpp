@@ -1,5 +1,5 @@
 // Unit tests for the core/ building blocks used by the PIM structures:
-// the sentinel directory, the vault-local skip-list, Algorithm 1's shared
+// the sentinel directory, the vault-local fat-node index, Algorithm 1's shared
 // vault handler, and the sequential structures behind the flat-combining
 // baselines.
 #include <gtest/gtest.h>
@@ -11,16 +11,16 @@
 
 #include "baselines/seq_structures.hpp"
 #include "common/rng.hpp"
-#include "core/local_skiplist.hpp"
 #include "core/queue_vault.hpp"
 #include "core/sentinel_directory.hpp"
+#include "core/vault_index.hpp"
 #include "runtime/vault.hpp"
 
 namespace pimds {
 namespace {
 
-using core::LocalSkipList;
 using core::SentinelDirectory;
+using core::VaultIndex;
 
 TEST(SentinelDirectory, RoutesByGreatestSentinelAtMostKey) {
   SentinelDirectory dir({{1, 0}, {100, 1}, {200, 2}});
@@ -77,9 +77,9 @@ TEST(SentinelDirectory, RepeatedSplitsStaySorted) {
   EXPECT_EQ(dir.route(5000), 1u);
 }
 
-TEST(LocalSkipList, MatchesStdSetAndCountsSteps) {
+TEST(VaultIndex, MatchesStdSetAndCountsSteps) {
   runtime::Vault vault(0, 16u << 20);
-  LocalSkipList list(vault, 0, 77);
+  VaultIndex list(vault);
   std::set<std::uint64_t> reference;
   Xoshiro256 rng(9);
   std::uint64_t total_steps = 0;
@@ -103,9 +103,9 @@ TEST(LocalSkipList, MatchesStdSetAndCountsSteps) {
   EXPECT_GT(total_steps, 0u);
 }
 
-TEST(LocalSkipList, FirstAtLeastScansInOrder) {
+TEST(VaultIndex, FirstAtLeastScansInOrder) {
   runtime::Vault vault(0, 1u << 20);
-  LocalSkipList list(vault, 0, 3);
+  VaultIndex list(vault);
   for (std::uint64_t k : {10u, 20u, 30u}) list.add(k);
   EXPECT_EQ(list.first_at_least(1), std::optional<std::uint64_t>(10));
   EXPECT_EQ(list.first_at_least(10), std::optional<std::uint64_t>(10));
@@ -114,18 +114,173 @@ TEST(LocalSkipList, FirstAtLeastScansInOrder) {
   EXPECT_EQ(list.first_at_least(31), std::nullopt);
 }
 
-TEST(LocalSkipList, MemoryIsReturnedToTheVault) {
+TEST(VaultIndex, MemoryIsReturnedToTheVault) {
   runtime::Vault vault(0, 1u << 20);
-  LocalSkipList list(vault, 0, 3);
+  VaultIndex list(vault);
   for (std::uint64_t k = 1; k <= 200; ++k) list.add(k);
   const std::size_t peak = vault.bytes_used();
   for (std::uint64_t k = 1; k <= 200; ++k) list.remove(k);
   EXPECT_LT(vault.bytes_used(), peak);
   // Re-adding recycles free-listed blocks; usage returns to roughly the
-  // previous peak (tower heights are random, so allow slack for a taller
-  // second population).
+  // previous peak (allow slack for a differently split second population).
   for (std::uint64_t k = 1; k <= 200; ++k) list.add(k);
   EXPECT_LE(vault.bytes_used(), peak + 1024);
+}
+
+/// An index over `n` distinct uniform keys in [1, 2^16] (perfbench's
+/// per-vault shape at n = 8,192).
+void fill_uniform(VaultIndex& index, std::size_t n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  while (index.size() < n) index.add(1 + rng.next_below(1u << 16));
+}
+
+TEST(VaultIndex, ContainsChargesExactlyTheHeight) {
+  runtime::Vault vault(0, 16u << 20);
+  VaultIndex index(vault);
+  std::uint64_t steps = 0;
+  EXPECT_FALSE(index.contains(5, &steps));
+  EXPECT_EQ(steps, 1u);  // an empty index is one root leaf
+  fill_uniform(index, 8192, 1);
+  ASSERT_GE(index.height(), 4);
+  Xoshiro256 rng(2);
+  for (int i = 0; i < 2000; ++i) {
+    steps = 0;
+    index.contains(1 + rng.next_below(1u << 16), &steps);
+    ASSERT_EQ(steps, static_cast<std::uint64_t>(index.height()));
+  }
+}
+
+TEST(VaultIndex, AddChargesHeightPlusTheNodesItsSplitCreated) {
+  runtime::Vault vault(0, 16u << 20);
+  VaultIndex index(vault);
+  Xoshiro256 rng(3);
+  std::uint64_t splits = 0;
+  std::uint64_t root_splits = 0;
+  for (int i = 0; i < 6000; ++i) {
+    const int height = index.height();
+    const std::uint64_t blocks = vault.live_blocks();  // adds never free
+    std::uint64_t steps = 0;
+    const bool added = index.add(1 + rng.next_below(1u << 16), &steps);
+    const std::uint64_t created = vault.live_blocks() - blocks;
+    ASSERT_EQ(steps, static_cast<std::uint64_t>(height) + created);
+    if (!added) {
+      ASSERT_EQ(created, 0u);
+    }
+    splits += created > 0;
+    root_splits += index.height() > height;
+  }
+  EXPECT_GT(splits, 100u);
+  EXPECT_GE(root_splits, 3u);
+}
+
+TEST(VaultIndex, MigrationHelpersStayUnderTheOneKeyLayoutsPerKeyCharge) {
+  // The one-key layout charged 2 per extracted key and at least 2 per
+  // ascending insert (the insertion point plus one tower link). Fingers on
+  // the current leaf bring both to about one descent or split per leaf.
+  constexpr std::uint64_t kKeys = 1000;
+  runtime::Vault source_vault(0, 16u << 20);
+  VaultIndex source(source_vault);
+  for (std::uint64_t k = 1; k <= 3 * kKeys; ++k) source.add(k);
+  std::uint64_t extract_steps = 0;
+  std::uint64_t cursor = kKeys;
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    const auto key = source.extract_first_at_least(cursor, &extract_steps);
+    ASSERT_EQ(key, std::optional<std::uint64_t>(cursor));
+    cursor = *key + 1;
+  }
+  EXPECT_LE(extract_steps, 2 * kKeys);
+  EXPECT_LE(extract_steps, kKeys / 4);  // ~1,000 / 7 leaves drained
+  EXPECT_EQ(source.first_at_least(kKeys), std::optional(2 * kKeys));
+
+  // The target already holds keys on both sides of the incoming range.
+  runtime::Vault target_vault(1, 16u << 20);
+  VaultIndex target(target_vault);
+  for (std::uint64_t k = 1; k < kKeys; ++k) target.add(k);
+  for (std::uint64_t k = 2 * kKeys; k <= 3 * kKeys; ++k) target.add(k);
+  VaultIndex::InsertCursor finger;
+  std::uint64_t insert_steps = 0;
+  for (std::uint64_t k = kKeys; k < 2 * kKeys; ++k) {
+    ASSERT_TRUE(target.insert_ascending(finger, k, &insert_steps));
+  }
+  EXPECT_LE(insert_steps, 2 * kKeys);
+  EXPECT_LE(insert_steps, kKeys / 4);
+  EXPECT_EQ(target.size(), 3 * kKeys);
+}
+
+TEST(VaultIndex, DifferentialAgainstStdSetThroughGrowthAndCollapse) {
+  runtime::Vault vault(0, 16u << 20);
+  VaultIndex index(vault);
+  std::set<std::uint64_t> reference;
+  Xoshiro256 rng(5);
+  const auto check_first_at_least = [&](std::uint64_t key) {
+    const auto it = reference.lower_bound(key);
+    const std::optional<std::uint64_t> want =
+        it == reference.end() ? std::nullopt : std::optional(*it);
+    ASSERT_EQ(index.first_at_least(key), want) << key;
+  };
+  // Grow past three inner levels while mixing in removes.
+  while (index.height() < 5) {
+    const std::uint64_t key = 1 + rng.next_below(1u << 16);
+    if (rng.next_below(4) == 0) {
+      ASSERT_EQ(index.remove(key), reference.erase(key) > 0) << key;
+    } else {
+      ASSERT_EQ(index.add(key), reference.insert(key).second) << key;
+    }
+  }
+  ASSERT_EQ(index.size(), reference.size());
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t key = 1 + rng.next_below(1u << 16);
+    ASSERT_EQ(index.contains(key), reference.count(key) > 0) << key;
+    check_first_at_least(key);
+  }
+  // Empty a middle band: its leaves are freed, and first_at_least from
+  // inside the band must cross them to the next live key.
+  std::uint64_t leaf_frees = 0;
+  std::uint64_t cascades = 0;
+  const auto erase = [&](std::uint64_t key) {
+    const std::uint64_t blocks = vault.live_blocks();
+    ASSERT_EQ(index.remove(key), reference.erase(key) > 0) << key;
+    leaf_frees += vault.live_blocks() < blocks;
+    cascades += vault.live_blocks() + 1 < blocks;
+  };
+  for (std::uint64_t key = 20000; key < 30000; ++key) erase(key);
+  EXPECT_GT(leaf_frees, 0u);
+  for (std::uint64_t key = 19990; key < 30010; key += 7) {
+    check_first_at_least(key);
+  }
+  // Drain: half in random order, then the rest by an extraction sweep,
+  // until one root leaf is left.
+  std::vector<std::uint64_t> rest(reference.begin(), reference.end());
+  for (std::size_t i = rest.size(); i > 1; --i) {
+    std::swap(rest[i - 1], rest[rng.next_below(i)]);
+  }
+  rest.resize(rest.size() / 2);
+  std::uint64_t collapses = 0;
+  for (std::size_t i = 0; i < rest.size(); ++i) {
+    const int height = index.height();
+    erase(rest[i]);
+    collapses += index.height() < height;
+    if (i % 64 == 0) {
+      check_first_at_least(rest[i]);
+      ASSERT_EQ(index.contains(rest[i]), false);
+    }
+  }
+  std::uint64_t cursor = 0;
+  while (!reference.empty()) {
+    const int height = index.height();
+    const auto key = index.extract_first_at_least(cursor);
+    ASSERT_EQ(key, std::optional(*reference.begin()));
+    reference.erase(reference.begin());
+    collapses += index.height() < height;
+    cursor = *key + 1;
+  }
+  EXPECT_EQ(index.extract_first_at_least(0), std::nullopt);
+  EXPECT_GT(cascades, 0u);
+  EXPECT_GT(collapses, 0u);
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.height(), 1);
+  EXPECT_EQ(vault.live_blocks(), 1u);  // the root leaf
+  EXPECT_EQ(index.first_at_least(0), std::nullopt);
 }
 
 // --------------------------------------------------- QueueVault (Alg. 1)

@@ -1,6 +1,6 @@
 // Tests for the extension features beyond the paper's core: the
 // auto-rebalancing policy, runtime fat-node enqueue combining, the
-// simulated Michael-Scott queue, and the LocalSkipList migration helpers.
+// simulated Michael-Scott queue, and the VaultIndex migration helpers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,17 +10,17 @@
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
 #include "core/auto_rebalancer.hpp"
-#include "core/local_skiplist.hpp"
 #include "core/pim_fifo_queue.hpp"
 #include "core/pim_skiplist.hpp"
+#include "core/vault_index.hpp"
 #include "sim/ds/queues.hpp"
 
 namespace pimds {
 namespace {
 
-TEST(LocalSkipListMigrationHelpers, ExtractDrainsInAscendingOrder) {
+TEST(VaultIndexMigrationHelpers, ExtractDrainsInAscendingOrder) {
   runtime::Vault vault(0, 4u << 20);
-  core::LocalSkipList list(vault, 0, 11);
+  core::VaultIndex list(vault);
   Xoshiro256 rng(1);
   std::set<std::uint64_t> keys;
   for (int i = 0; i < 500; ++i) {
@@ -44,12 +44,12 @@ TEST(LocalSkipListMigrationHelpers, ExtractDrainsInAscendingOrder) {
   for (const auto k : expected) EXPECT_FALSE(list.contains(k));
 }
 
-TEST(LocalSkipListMigrationHelpers, AscendingInsertMatchesRegularAdd) {
+TEST(VaultIndexMigrationHelpers, AscendingInsertMatchesRegularAdd) {
   runtime::Vault vault(0, 4u << 20);
-  core::LocalSkipList via_cursor(vault, 0, 3);
+  core::VaultIndex via_cursor(vault);
   runtime::Vault vault2(1, 4u << 20);
-  core::LocalSkipList regular(vault2, 0, 3);
-  core::LocalSkipList::InsertCursor cursor;
+  core::VaultIndex regular(vault2);
+  core::VaultIndex::InsertCursor cursor;
   Xoshiro256 rng(2);
   std::vector<std::uint64_t> keys;
   for (int i = 0; i < 400; ++i) keys.push_back(rng.next_in(1, 1000));
@@ -63,10 +63,10 @@ TEST(LocalSkipListMigrationHelpers, AscendingInsertMatchesRegularAdd) {
   }
 }
 
-TEST(LocalSkipListMigrationHelpers, CursorSurvivesInterleavedMutations) {
+TEST(VaultIndexMigrationHelpers, CursorSurvivesInterleavedMutations) {
   runtime::Vault vault(0, 4u << 20);
-  core::LocalSkipList list(vault, 0, 7);
-  core::LocalSkipList::InsertCursor cursor;
+  core::VaultIndex list(vault);
+  core::VaultIndex::InsertCursor cursor;
   for (std::uint64_t k = 10; k <= 300; k += 10) {
     ASSERT_TRUE(list.insert_ascending(cursor, k));
     if (k % 50 == 0) {

@@ -2,9 +2,12 @@
 // consistency, and every analytic claim the paper states in prose.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
+#include "core/vault_index.hpp"
 #include "model/linked_list_model.hpp"
 #include "model/queue_model.hpp"
 #include "model/skiplist_model.hpp"
+#include "runtime/vault.hpp"
 
 namespace pimds::model {
 namespace {
@@ -89,6 +92,34 @@ TEST(Table2, BetaEstimateGrowsLogarithmically) {
   EXPECT_NEAR(estimate_beta(1 << 10), 20.0, 1e-9);
   EXPECT_NEAR(estimate_beta(1 << 20), 40.0, 1e-9);
   EXPECT_GE(estimate_beta(1), 1.0);
+}
+
+TEST(Table2, FatNodeAccessesGrowLogarithmically) {
+  EXPECT_EQ(fat_node_accesses(0, 14, 7), 1.0);
+  EXPECT_EQ(fat_node_accesses(9, 14, 7), 1.0);
+  // Every fanout-fold growth in keys adds one level.
+  const double f = kRandomInsertFill * 7;
+  EXPECT_NEAR(fat_node_accesses(100000, 14, 7) + 1.0,
+              fat_node_accesses(static_cast<std::size_t>(100000 * f), 14, 7),
+              1e-3);
+}
+
+TEST(Table2, FatNodeAccessesMatchTheVaultIndex) {
+  // perfbench's per-vault shape: 8,192 distinct uniform keys in [1, 2^16].
+  runtime::Vault vault(0, 16u << 20);
+  core::VaultIndex index(vault);
+  Xoshiro256 rng(1);
+  while (index.size() < 8192) index.add(1 + rng.next_below(1u << 16));
+  constexpr int kProbes = 10000;
+  std::uint64_t steps = 0;
+  for (int i = 0; i < kProbes; ++i) {
+    index.contains(1 + rng.next_below(1u << 16), &steps);
+  }
+  const double measured = static_cast<double>(steps) / kProbes;
+  const double model = fat_node_accesses(
+      index.size(), core::VaultIndex::kLeafKeys, core::VaultIndex::kFanout);
+  EXPECT_NEAR(measured / model, 1.0, 0.10)
+      << "measured " << measured << " model " << model;
 }
 
 TEST(Table2, PartitioningScalesLinearlyInK) {
