@@ -10,9 +10,11 @@
 #include <atomic>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/latency.hpp"
 #include "common/mpmc_queue.hpp"
 #include "common/reclaim.hpp"
 #include "common/rng.hpp"
@@ -20,6 +22,7 @@
 #include "common/timing.hpp"
 #include "common/zipf.hpp"
 #include "obs/obs.hpp"
+#include "runtime/mailbox.hpp"
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
 
@@ -266,6 +269,59 @@ void BM_SpinWaitSleepStep(benchmark::State& state) {
   report_overshoot(state, late_ns);
 }
 BENCHMARK(BM_SpinWaitSleepStep)->Iterations(2000)->UseRealTime();
+
+/// ResponseSlot::await on a reply published `range(0)` us after the wait
+/// starts, delivered Lmessage = 30 us after its publish (Lpim = 10 us, the
+/// benches' injected scale): how far past the delivery instant the waiter
+/// resumes. This is the unit cost behind the cpu_receive phase: the
+/// publish wait's SpinWait steps can land past the delivery, while a
+/// waiter that wakes inside the flight spins to the instant.
+void BM_AwaitLateness(benchmark::State& state) {
+  const auto delay_ns = static_cast<std::uint64_t>(state.range(0)) * 1000;
+  LatencyInjector& injector = LatencyInjector::instance();
+  const LatencyParams saved = injector.params();
+  const bool was_enabled = injector.enabled();
+  LatencyParams lp;
+  lp.pim_ns = 10'000.0;
+  injector.configure(lp);
+  injector.set_enabled(true);  // the await's step cap follows injection
+  const auto flight_ns = static_cast<std::uint64_t>(lp.message());
+
+  runtime::ResponseSlot<int> slot;
+  std::atomic<std::uint64_t> issued{0};  // wait start of the current round
+  std::atomic<std::uint64_t> ready{0};   // its delivery instant
+  std::atomic<bool> stop{false};
+  std::thread publisher([&] {
+    std::uint64_t last = 0;
+    for (;;) {
+      SpinWait spin;
+      std::uint64_t start = 0;
+      while ((start = issued.load(std::memory_order_acquire)) == last) {
+        if (stop.load(std::memory_order_acquire)) return;
+        spin.wait();
+      }
+      last = start;
+      wait_until_ns(start + delay_ns);
+      const std::uint64_t at = now_ns() + flight_ns;
+      ready.store(at, std::memory_order_relaxed);
+      slot.publish(1, at);
+    }
+  });
+  std::vector<std::uint64_t> late_ns;
+  late_ns.reserve(state.max_iterations);
+  for (auto _ : state) {
+    issued.store(now_ns(), std::memory_order_release);
+    benchmark::DoNotOptimize(slot.await());
+    late_ns.push_back(now_ns() - ready.load(std::memory_order_relaxed));
+  }
+  stop.store(true, std::memory_order_release);
+  publisher.join();
+  injector.configure(saved);
+  injector.set_enabled(was_enabled);
+  report_overshoot(state, late_ns);
+}
+BENCHMARK(BM_AwaitLateness)
+    ->Arg(10)->Arg(50)->Arg(100)->Arg(300)->Iterations(1000)->UseRealTime();
 
 }  // namespace
 

@@ -22,8 +22,10 @@ Two modes, both stdlib-only:
       Validate a bench --json file: well-formed, has a "records" list with
       {name, ops_per_sec} rows, the schema-stable "conformance" section
       ({"rows": [{name, predicted_ops_per_sec, measured_ops_per_sec,
-      divergence_pct}]}) and "attribution" object, and -- when a "metrics"
-      section is present -- that histograms carry count/p50/p99/p999.
+      divergence_pct}]}) and "attribution" object (a phase's optional
+      p50_ns/p99_ns must be non-negative with p50 <= p99), and -- when a
+      "metrics" section is present -- that histograms carry
+      count/p50/p99/p999.
       When the optional "telemetry" section is present (runs with
       --telemetry <file>), it must be {"path": str, "interval_ms": num > 0,
       "samples": int >= 0}. Exit 2 on any violation.
@@ -79,6 +81,23 @@ def check_latency_block(lat, where):
             fail(f"{where}: latency percentile ladder not monotone: {ladder}")
     if not isinstance(lat["gated"], bool):
         fail(f'{where}: latency "gated" must be a bool')
+
+
+def check_phase_percentiles(where, phase):
+    """p50_ns / p99_ns are optional (older files lack them); when present
+    they must be non-negative numbers with p50 <= p99."""
+    values = {}
+    for key in ("p50_ns", "p99_ns"):
+        if key not in phase:
+            continue
+        v = phase[key]
+        if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
+            fail(f'attribution phase "{where}" {key!r} must be a '
+                 f"non-negative number, got {v!r}")
+        values[key] = v
+    if len(values) == 2 and values["p50_ns"] > values["p99_ns"]:
+        fail(f'attribution phase "{where}" has p50_ns {values["p50_ns"]} '
+             f'> p99_ns {values["p99_ns"]}')
 
 
 def check_bench(path):
@@ -151,6 +170,8 @@ def check_bench(path):
         for key in ("ops", "coverage_pct", "phases"):
             if key not in a:
                 fail(f'attribution "{domain}" missing {key!r}')
+        for phase, ph in a["phases"].items():
+            check_phase_percentiles(f"{domain}.{phase}", ph)
     metrics = doc.get("metrics")
     n_hist = 0
     if metrics is not None:

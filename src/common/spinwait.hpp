@@ -20,9 +20,19 @@ namespace pimds {
 
 class SpinWait {
  public:
+  static constexpr std::uint32_t kDefaultSpinLimit = 128;
+  /// Default cap on one sleep step.
+  static constexpr std::uint32_t kMaxSleepNs = 50'000;
+
   /// @param spin_limit pause-loop iterations before yielding begins
-  explicit SpinWait(std::uint32_t spin_limit = 128) noexcept
-      : limit_(spin_limit) {}
+  /// @param max_sleep_ns longest sleep step; a wait on a delivery with a
+  ///        known flight time passes about half of it, so no step sleeps
+  ///        through a whole flight
+  explicit SpinWait(std::uint32_t spin_limit = kDefaultSpinLimit,
+                    std::uint32_t max_sleep_ns = kMaxSleepNs) noexcept
+      : limit_(spin_limit),
+        max_sleep_ns_(max_sleep_ns),
+        sleep_ns_(first_sleep_ns()) {}
 
   void wait() noexcept {
     if (count_ < limit_) {
@@ -33,28 +43,37 @@ class SpinWait {
       std::this_thread::yield();
     } else {
       // The partner is descheduled or deliberately pacing (e.g. an injected
-      // delivery latency): stop taxing the runqueue. Bounded so the wakeup
-      // lag stays small against the latency scales being injected.
+      // delivery latency): stop taxing the runqueue. The steps double up
+      // to the cap, so the wakeup lag stays small against the latency
+      // scales being injected.
       timespec ts{0, static_cast<long>(sleep_ns_)};
       tighten_timer_slack();
       ::nanosleep(&ts, nullptr);
-      if (sleep_ns_ < kMaxSleepNs) sleep_ns_ *= 2;
+      sleep_ns_ = sleep_ns_ < max_sleep_ns_ / 2 ? sleep_ns_ * 2 : max_sleep_ns_;
     }
   }
 
   void reset() noexcept {
     count_ = 0;
-    sleep_ns_ = kMinSleepNs;
+    sleep_ns_ = first_sleep_ns();
   }
+
+  /// Length of the next sleep-tier step: 2, 4, 8, ... us, never above the
+  /// cap.
+  std::uint32_t sleep_step_ns() const noexcept { return sleep_ns_; }
 
  private:
   static constexpr std::uint32_t kYieldLimit = 64;
   static constexpr std::uint32_t kMinSleepNs = 2'000;
-  static constexpr std::uint32_t kMaxSleepNs = 50'000;
+
+  std::uint32_t first_sleep_ns() const noexcept {
+    return kMinSleepNs < max_sleep_ns_ ? kMinSleepNs : max_sleep_ns_;
+  }
 
   std::uint32_t count_ = 0;
   std::uint32_t limit_;
-  std::uint32_t sleep_ns_ = kMinSleepNs;
+  std::uint32_t max_sleep_ns_;
+  std::uint32_t sleep_ns_;
 };
 
 }  // namespace pimds

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace pimds::core {
 
@@ -20,8 +21,12 @@ void erase_slot(T* arr, int count, int pos) {
 
 }  // namespace
 
-VaultIndex::VaultIndex(runtime::Vault& vault)
-    : vault_(vault), root_(make_node(/*leaf=*/true)) {}
+VaultIndex::VaultIndex(runtime::Vault& vault) : vault_(vault) {
+  if (vault.capacity() > runtime::Vault::kMaxOffsetCapacity) {
+    throw std::length_error("VaultIndex: vault too large for 32-bit offsets");
+  }
+  root_ = make_node(/*leaf=*/true);
+}
 
 VaultIndex::Node* VaultIndex::make_node(bool leaf) {
   Node* node = static_cast<Node*>(vault_.allocate(sizeof(Node), alignof(Node)));
@@ -46,7 +51,7 @@ std::uint64_t VaultIndex::descend(std::uint64_t key, Path& path) const {
     while (s > 0 && node->in.sep[s] > key) --s;
     path.node[level] = node;
     path.slot[level] = static_cast<std::uint8_t>(s);
-    node = node->in.child[s];
+    node = child(node, s);
   }
   path.node[height_ - 1] = node;
   return static_cast<std::uint64_t>(height_);
@@ -115,9 +120,9 @@ void VaultIndex::link_split(Path& path, int level, Node* right, bool follow,
     Node* root = make_node(/*leaf=*/false);
     ++created;
     root->in.sep[0] = 0;  // entry 0's separator is never compared
-    root->in.child[0] = root_;
+    root->in.child[0] = ref(root_);
     root->in.sep[1] = sep;
-    root->in.child[1] = right;
+    root->in.child[1] = ref(right);
     root->count = 2;
     std::copy_backward(path.node, path.node + height_, path.node + height_ + 1);
     std::copy_backward(path.slot, path.slot + height_, path.slot + height_ + 1);
@@ -152,7 +157,7 @@ void VaultIndex::link_split(Path& path, int level, Node* right, bool follow,
     }
   }
   insert_slot(target->in.sep, target->count, at, sep);
-  insert_slot(target->in.child, target->count, at, right);
+  insert_slot(target->in.child, target->count, at, ref(right));
   ++target->count;
   path.slot[level - 1] = static_cast<std::uint8_t>(on);
   if (sibling != nullptr) {
@@ -179,7 +184,7 @@ int VaultIndex::erase_at(Path& path, int pos) {
   }
   while (height_ > 1 && root_->count == 1) {
     Node* old = root_;
-    root_ = old->in.child[0];
+    root_ = child(old, 0);
     free_node(old);
     --height_;
   }
@@ -192,7 +197,7 @@ int VaultIndex::next_leaf(Path& path, std::uint64_t& reads) const {
   if (fork < 0) return -1;
   ++path.slot[fork];
   for (int level = fork; level < height_ - 1; ++level) {
-    path.node[level + 1] = path.node[level]->in.child[path.slot[level]];
+    path.node[level + 1] = child(path.node[level], path.slot[level]);
     ++reads;
     if (level + 1 < height_ - 1) path.slot[level + 1] = 0;
   }

@@ -15,7 +15,10 @@
 // Shape. A leaf holds up to kLeafKeys sorted keys. An inner node holds up
 // to kFanout (separator, child) entries; separator i is a lower bound of
 // child i's keys, and entry 0's separator is never compared, so child 0
-// takes every key below separator 1. All leaves sit at the same depth.
+// takes every key below separator 1. A child is named by its 32-bit offset
+// in the vault arena (Vault::offset_of), not a 64-bit pointer, which is
+// what fits 10 entries into a block instead of 7. All leaves sit at the
+// same depth.
 // - A full node splits in half, and the split cascades up; a root split
 //   adds a level.
 // - An emptied node is freed and its parent entry removed; a root left
@@ -45,8 +48,8 @@ namespace pimds::core {
 class VaultIndex {
  public:
   static constexpr std::size_t kNodeBytes = 128;
-  static constexpr int kLeafKeys = 14;
-  static constexpr int kFanout = 7;
+  static constexpr int kLeafKeys = 15;
+  static constexpr int kFanout = 10;
   /// Path length bound. A root split needs a full root, and refilling a
   /// split node takes at least three splits one level down, so height h
   /// needs over 3^(h-2) leaf splits: 32 levels are out of reach.
@@ -72,6 +75,8 @@ class VaultIndex {
   };
 
  public:
+  /// Throws std::length_error if the vault is too large for 32-bit child
+  /// offsets (Vault::kMaxOffsetCapacity).
   explicit VaultIndex(runtime::Vault& vault);
 
   VaultIndex(const VaultIndex&) = delete;
@@ -116,7 +121,7 @@ class VaultIndex {
   struct Node {
     struct Inner {
       std::uint64_t sep[kFanout];
-      Node* child[kFanout];
+      std::uint32_t child[kFanout];  // vault offsets
     };
     std::uint16_t count;
     bool leaf;
@@ -128,6 +133,10 @@ class VaultIndex {
   static_assert(sizeof(Node) <= kNodeBytes, "a node is one vault block");
 
   Node* make_node(bool leaf);
+  Node* child(const Node* inner, int slot) const {
+    return static_cast<Node*>(vault_.at_offset(inner->in.child[slot]));
+  }
+  std::uint32_t ref(const Node* node) const { return vault_.offset_of(node); }
   void free_node(Node* node);
   /// First slot of `leaf` holding a key >= `key` (its count if none).
   static int seek(const Node* leaf, std::uint64_t key);
@@ -153,7 +162,7 @@ class VaultIndex {
   int next_leaf(Path& path, std::uint64_t& reads) const;
 
   runtime::Vault& vault_;
-  Node* root_;
+  Node* root_ = nullptr;
   int height_ = 1;
   std::size_t size_ = 0;
   std::uint64_t mutation_epoch_ = 0;

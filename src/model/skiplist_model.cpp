@@ -16,9 +16,11 @@ double estimate_beta(std::size_t size) {
 
 double fat_node_accesses(std::size_t size, int leaf_capacity, int fanout,
                          double fill) {
+  if (size <= static_cast<std::size_t>(leaf_capacity)) return 1.0;
   const double leaves = static_cast<double>(size) / (fill * leaf_capacity);
-  if (leaves <= 1.0) return 1.0;
-  return 1.0 + std::log(leaves) / std::log(fill * fanout);
+  int height = 2;
+  for (double held = fanout; held < leaves; held *= fill * fanout) ++height;
+  return height;
 }
 
 double lock_free_skiplist(const LatencyParams& lp, double beta,

@@ -25,10 +25,12 @@ double estimate_beta(std::size_t size);
 inline constexpr double kRandomInsertFill = 0.6931471805599453;
 
 /// beta of the runtime's fat-node vault index (core::VaultIndex): node
-/// reads per search, which is the tree height. Leaves hold `leaf_capacity`
-/// keys and inner nodes `fanout` children, each filled to `fill`, so the
-/// height is 1 + log_(fill*fanout)(size / (fill*leaf_capacity)), floored
-/// at 1.
+/// reads per search, which is the tree height, a whole number of levels.
+/// Leaves hold `leaf_capacity` keys and inner nodes `fanout` children; below
+/// the root each is filled to `fill`, while the root takes up to `fanout`
+/// children before it splits. So height h holds leaf_capacity keys at
+/// h = 1 and fanout * (fill*fanout)^(h-2) * fill*leaf_capacity keys above,
+/// and the result is the least h that holds `size`. Needs fill*fanout > 1.
 double fat_node_accesses(std::size_t size, int leaf_capacity, int fanout,
                          double fill = kRandomInsertFill);
 

@@ -75,6 +75,8 @@ PhaseAttribution domain_attribution(const MetricsSnapshot& snap,
     if (h == nullptr) continue;
     out.phase_ns[p] = static_cast<double>(h->data.sum);
     out.phase_count[p] = h->data.count;
+    out.phase_p50_ns[p] = h->data.percentile_interpolated(0.50);
+    out.phase_p99_ns[p] = h->data.percentile_interpolated(0.99);
     if (static_cast<Phase>(p) == Phase::kTotal) {
       out.ops = h->data.count;
       out.total_ns = static_cast<double>(h->data.sum);
@@ -135,7 +137,9 @@ std::string attribution_json(const AttributionReport& report, int indent) {
       out += in3 + "\"" + kPhaseNames[p] + "\": {" +
              "\"count\": " + std::to_string(a.phase_count[p]) +
              ", \"ns_per_op\": " + fmt_double(a.phase_ns[p] / ops) +
-             ", \"share_pct\": " + fmt_double(share) + "}";
+             ", \"share_pct\": " + fmt_double(share) +
+             ", \"p50_ns\": " + fmt_double(a.phase_p50_ns[p]) +
+             ", \"p99_ns\": " + fmt_double(a.phase_p99_ns[p]) + "}";
     }
     out += first_phase ? "}" : "\n" + in2 + "}";
     out += "\n" + in1 + "}";

@@ -87,6 +87,10 @@ struct PhaseAttribution {
   double coverage_pct = 0.0;  ///< 100 * phase_sum_ns / total_ns
   std::array<double, kPhaseCount> phase_ns{};  ///< per-phase sums
   std::array<std::uint64_t, kPhaseCount> phase_count{};
+  /// Per-phase sample percentiles (HistogramData::percentile_interpolated):
+  /// a mean carried by rare long stalls shows here as p99 >> p50.
+  std::array<double, kPhaseCount> phase_p50_ns{};
+  std::array<double, kPhaseCount> phase_p99_ns{};
 };
 
 struct AttributionReport {
@@ -101,7 +105,10 @@ AttributionReport attribution_report();  ///< from Registry::instance()
 /// the object itself is always emitted, so the schema is stable). Layout:
 ///   {"sim": {"ops": N, "total_ns_per_op": x, "phase_sum_ns_per_op": y,
 ///            "coverage_pct": z, "phases": {"issue": {"count": c,
-///            "ns_per_op": a, "share_pct": s}, ...}}}
+///            "ns_per_op": a, "share_pct": s, "p50_ns": m,
+///            "p99_ns": t}, ...}}}
+/// `ns_per_op` spreads a phase's sum over every op; `p50_ns` / `p99_ns`
+/// are percentiles of the phase's own samples.
 /// `indent` follows the MetricsSnapshot::to_json convention.
 std::string attribution_json(const AttributionReport& report, int indent = 0);
 

@@ -397,6 +397,19 @@ class Mailbox {
   obs::Histogram drain_batch_;
 };
 
+/// Longest sleep step of ResponseSlot::await's publish wait: Lmessage / 2
+/// while latency injection is on, so no step sleeps through the whole
+/// flight of a reply published just after it began; SpinWait's default cap
+/// otherwise. The core loop's idle wait keeps the default cap: capping it
+/// too cost oversubscribed runs more in wakeups than it saved (DESIGN §5b).
+inline std::uint32_t reply_wait_cap_ns() noexcept {
+  const LatencyInjector& injector = LatencyInjector::instance();
+  if (!injector.enabled()) return SpinWait::kMaxSleepNs;
+  const double half = injector.params().message() / 2;
+  return half < SpinWait::kMaxSleepNs ? static_cast<std::uint32_t>(half)
+                                      : SpinWait::kMaxSleepNs;
+}
+
 /// One-shot response slot a CPU thread waits on. Single producer (the PIM
 /// core serving the request), single consumer (the requesting CPU), reused
 /// across requests by the same CPU.
@@ -416,9 +429,10 @@ class ResponseSlot {
   }
 
   /// Consumer: wait until a response is published AND its delivery time has
-  /// passed, then consume it. The publish wait escalates to yielding
-  /// (SpinWait) so oversubscribed runs (threads > cores) cannot livelock the
-  /// publisher; the post-publish delivery wait has a known deadline, so it
+  /// passed, then consume it. The publish wait escalates to yielding and
+  /// then sleeping (SpinWait, steps capped by reply_wait_cap_ns) so
+  /// oversubscribed runs (threads > cores) cannot livelock the publisher;
+  /// the post-publish delivery wait has a known deadline, so it
   /// escalates further — spin, then yield, then sleep through long in-flight
   /// windows (wait_until_ns) instead of churning the scheduler.
   ///
@@ -429,7 +443,7 @@ class ResponseSlot {
   ///  - cpu_receive = consumer wakeup instant − delivery instant, the only
   ///    phase the requester itself can observe.
   R await() {
-    SpinWait spin;
+    SpinWait spin(SpinWait::kDefaultSpinLimit, reply_wait_cap_ns());
     while (!full_.value.load(std::memory_order_acquire)) spin.wait();
     const bool obs_on = obs::metrics_enabled();
     const std::uint64_t ready = ready_ns_.value.load(std::memory_order_relaxed);

@@ -13,7 +13,7 @@ namespace pimds::runtime {
 
 PimSystem::Core::Core(std::size_t id, const Config& config)
     : vault(std::make_unique<Vault>(id, config.vault_bytes)),
-      mailbox(config.mailbox_capacity, config.mailbox_lanes) {
+      mailbox(config.mailbox_capacity) {
   const std::string prefix = "runtime.vault" + std::to_string(id);
   auto& registry = obs::Registry::instance();
   messages = &registry.counter(prefix + ".messages");

@@ -83,9 +83,6 @@ class PimSystem {
     /// scaled down so tests stay lightweight).
     std::size_t vault_bytes = 32ull << 20;
     std::size_t mailbox_capacity = 4096;
-    /// Per-sender SPSC lanes per mailbox before senders share the MPMC
-    /// overflow ring (see runtime/mailbox.hpp).
-    std::size_t mailbox_lanes = Mailbox::kDefaultLanes;
     LatencyParams params = LatencyParams::paper_defaults();
     /// Emulate the Section 3 latencies with calibrated spin waits. Off by
     /// default: functional runs measure real hardware.

@@ -11,6 +11,7 @@
 // paper emphasizes).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -49,6 +50,25 @@ class Vault {
 
   /// Return a block obtained from allocate() to the vault's free list.
   void deallocate(void* p, std::size_t bytes, std::size_t alignment) noexcept;
+
+  /// 32-bit references into the arena, for structures that pack block links
+  /// into fixed-size nodes: a block's offset from the arena base, and back.
+  /// The arena is one contiguous allocation, so an offset names a block as
+  /// well as its address does as long as the capacity fits in 32 bits
+  /// (kMaxOffsetCapacity, 4 GiB).
+  static constexpr std::size_t kMaxOffsetCapacity = std::size_t{1} << 32;
+  std::uint32_t offset_of(const void* p) const noexcept {
+    assert(capacity_ <= kMaxOffsetCapacity && "vault too large for offsets");
+    const auto off = static_cast<std::size_t>(
+        static_cast<const std::byte*>(p) - arena_.get());
+    assert(off < capacity_ && "pointer outside the vault arena");
+    return static_cast<std::uint32_t>(off);
+  }
+  void* at_offset(std::uint32_t offset) const noexcept {
+    assert(capacity_ <= kMaxOffsetCapacity && "vault too large for offsets");
+    assert(offset < capacity_ && "offset outside the vault arena");
+    return arena_.get() + offset;
+  }
 
   /// Typed helpers.
   template <typename T, typename... Args>

@@ -4,6 +4,7 @@
 // baselines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory_resource>
 #include <set>
 #include <utility>
@@ -148,6 +149,54 @@ TEST(VaultIndex, ContainsChargesExactlyTheHeight) {
     index.contains(1 + rng.next_below(1u << 16), &steps);
     ASSERT_EQ(steps, static_cast<std::uint64_t>(index.height()));
   }
+}
+
+TEST(VaultIndex, BothNodeKindsFitOneBlockAtTenAndFifteenEntries) {
+  static_assert(VaultIndex::kLeafKeys == 15 && VaultIndex::kFanout == 10);
+  runtime::Vault vault(0, 1u << 20);
+  VaultIndex index(vault);
+  // A root leaf takes 15 keys; the 16th splits it.
+  std::uint64_t key = 1;
+  while (index.height() == 1) index.add(key++);
+  EXPECT_EQ(index.size(), 16u);
+  // An ascending fill only ever splits the last leaf, so the largest
+  // two-level tree is one inner root over 10 leaves.
+  std::uint64_t most_blocks = 0;
+  while (index.height() == 2) {
+    most_blocks = std::max(most_blocks, vault.live_blocks());
+    index.add(key++);
+  }
+  EXPECT_EQ(most_blocks, 1u + VaultIndex::kFanout);
+  // Every block, leaf or inner, is at most one 128-byte vault read.
+  EXPECT_LE(vault.bytes_used(), vault.live_blocks() * VaultIndex::kNodeBytes);
+}
+
+TEST(VaultIndex, GrowthFromPrefillToFourteenThousandKeysStaysAtHeightFive) {
+  // perfbench skiplist_read's 90/5/5 contains/add/remove mix, replayed
+  // from its 8,192-key prefill until the vault holds 14,000 keys (about
+  // what a 20 s run grows it to).
+  runtime::Vault vault(0, 16u << 20);
+  VaultIndex index(vault);
+  fill_uniform(index, 8192, 1);
+  ASSERT_EQ(index.height(), 5);
+  Xoshiro256 rng(7);
+  std::uint64_t probes = 0;
+  while (index.size() < 14000) {
+    const std::uint64_t key = 1 + rng.next_below(1u << 16);
+    const std::uint64_t pick = rng.next_below(100);
+    if (pick < 5) {
+      index.add(key);
+    } else if (pick < 10) {
+      index.remove(key);
+    } else {
+      std::uint64_t steps = 0;
+      index.contains(key, &steps);
+      ASSERT_EQ(steps, 5u) << "at " << index.size() << " keys";
+      ++probes;
+    }
+    ASSERT_EQ(index.height(), 5) << "at " << index.size() << " keys";
+  }
+  EXPECT_GT(probes, 100000u);
 }
 
 TEST(VaultIndex, AddChargesHeightPlusTheNodesItsSplitCreated) {

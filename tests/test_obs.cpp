@@ -338,6 +338,43 @@ TEST(Histogram, MergedDataFromDisjointRangesAddsUp) {
   EXPECT_GE(merged.percentile(0.75), 900'000.0);
 }
 
+TEST(PhaseAttribution, PhasePercentilesComeFromTheirOwnHistograms) {
+  // A cpu_receive whose mean (802 ns) is carried by two long stalls: the
+  // median sits with the 98 fast wakes, the p99 with the stalls.
+  Histogram total;
+  Histogram receive;
+  for (int i = 0; i < 98; ++i) {
+    total.record(1'000);
+    receive.record(2);
+  }
+  for (int i = 0; i < 2; ++i) {
+    total.record(50'000);
+    receive.record(40'000);
+  }
+  MetricsSnapshot snap;
+  snap.histograms.push_back({"runtime.phase.total", total.data()});
+  snap.histograms.push_back({"runtime.phase.cpu_receive", receive.data()});
+  const AttributionReport report = attribution_report(snap);
+  const auto rx = static_cast<std::size_t>(Phase::kCpuReceive);
+  const double p50 = report.runtime.phase_p50_ns[rx];
+  const double p99 = report.runtime.phase_p99_ns[rx];
+  EXPECT_GE(p50, 2.0);
+  EXPECT_LT(p50, 3.0);  // inside the unit bucket of the fast wakes
+  // Inside the stalls' bucket, clamped to the recorded max.
+  EXPECT_GE(p99, static_cast<double>(
+                     Histogram::bucket_lower(Histogram::bucket_index(40'000))));
+  EXPECT_LE(p99, 40'000.0);
+  const std::string json = attribution_json(report);
+  EXPECT_TRUE(JsonCursor(json).parse()) << json;
+  char want[96];
+  std::snprintf(want, sizeof(want), "\"p50_ns\": %.6g, \"p99_ns\": %.6g}",
+                p50, p99);
+  EXPECT_NE(json.find(std::string("\"cpu_receive\": {\"count\": 100")),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(want), std::string::npos) << json;
+}
+
 TEST(Message, TraceContextCompilesOutWhenObsDisabled) {
 #ifdef PIMDS_OBS_DISABLED
   // The req_id fields (message header + per-op fat entries) must vanish

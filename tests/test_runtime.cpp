@@ -12,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/latency.hpp"
+#include "common/spinwait.hpp"
 #include "common/timing.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/system.hpp"
@@ -61,6 +63,65 @@ TEST(Vault, AlignmentIsHonored) {
     void* p = vault.allocate(align * 3, align);  // > 256: bump path
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u);
   }
+}
+
+TEST(Vault, OffsetsRoundTripToBlockAddresses) {
+  Vault vault(0, 1u << 20);
+  void* a = vault.allocate(128, 8);
+  void* b = vault.allocate(128, 8);
+  EXPECT_NE(vault.offset_of(a), vault.offset_of(b));
+  EXPECT_EQ(vault.at_offset(vault.offset_of(a)), a);
+  EXPECT_EQ(vault.at_offset(vault.offset_of(b)), b);
+  EXPECT_LT(vault.offset_of(b), vault.capacity());
+}
+
+/// The sleep steps a SpinWait takes, in order, until the step stops
+/// changing. Deterministic: it reads the schedule, never the clock.
+std::vector<std::uint32_t> sleep_schedule(SpinWait spin) {
+  std::vector<std::uint32_t> steps{spin.sleep_step_ns()};
+  for (int i = 0; i < 200; ++i) {
+    spin.wait();  // pause and yield tiers, then one sleep per call
+    if (spin.sleep_step_ns() != steps.back()) {
+      steps.push_back(spin.sleep_step_ns());
+    }
+  }
+  return steps;
+}
+
+TEST(SpinWait, SleepStepsDoubleFromTwoMicrosecondsAndStopAtTheCap) {
+  using Steps = std::vector<std::uint32_t>;
+  EXPECT_EQ(sleep_schedule(SpinWait(0)),
+            (Steps{2'000, 4'000, 8'000, 16'000, 32'000, 50'000}));
+  // Lmessage / 2 at Lpim = 10 us, the cap of the reply wait.
+  EXPECT_EQ(sleep_schedule(SpinWait(0, 15'000)),
+            (Steps{2'000, 4'000, 8'000, 15'000}));
+  EXPECT_EQ(sleep_schedule(SpinWait(0, 1'000)), (Steps{1'000}));
+  SpinWait spin(0, 15'000);
+  for (int i = 0; i < 100; ++i) {
+    spin.wait();
+    ASSERT_LE(spin.sleep_step_ns(), 15'000u);
+  }
+  spin.reset();
+  EXPECT_EQ(spin.sleep_step_ns(), 2'000u);
+}
+
+TEST(ResponseSlot, PublishWaitCapsItsStepAtHalfLmessageUnderInjection) {
+  LatencyInjector& injector = LatencyInjector::instance();
+  const LatencyParams saved = injector.params();
+  const bool was_enabled = injector.enabled();
+  LatencyParams lp;
+  lp.pim_ns = 10'000.0;  // Lmessage = 30 us
+  injector.configure(lp);
+  injector.set_enabled(true);
+  EXPECT_EQ(reply_wait_cap_ns(), 15'000u);
+  injector.set_enabled(false);
+  EXPECT_EQ(reply_wait_cap_ns(), SpinWait::kMaxSleepNs);
+  lp.pim_ns = 1'000'000.0;  // Lmessage / 2 above the default cap
+  injector.configure(lp);
+  injector.set_enabled(true);
+  EXPECT_EQ(reply_wait_cap_ns(), SpinWait::kMaxSleepNs);
+  injector.configure(saved);
+  injector.set_enabled(was_enabled);
 }
 
 TEST(RuntimeMailbox, DeliversAllMessagesFromManySenders) {
