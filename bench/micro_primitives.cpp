@@ -21,6 +21,7 @@
 #include "common/spinwait.hpp"
 #include "common/timing.hpp"
 #include "common/zipf.hpp"
+#include "core/vault_index.hpp"
 #include "obs/obs.hpp"
 #include "runtime/mailbox.hpp"
 #include "sim/engine.hpp"
@@ -202,6 +203,38 @@ void BM_LoadMapRecord(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LoadMapRecord);
+
+/// The skip list's vault_service unit: one VaultIndex::contains on
+/// perfbench's per-vault shape, `range(0)` distinct uniform keys in
+/// [1, 2^16], over perfbench's windowed domain [1, 2^17] (range(1) = 1) or
+/// one tree over the whole key space (range(1) = 0). ns/op is the host's
+/// search cost with latency injection off; reads_per_op is the node reads
+/// a runtime vault charges at one Lpim each.
+void BM_VaultIndexContains(benchmark::State& state) {
+  const auto keys = static_cast<std::size_t>(state.range(0));
+  runtime::Vault vault(0, 16u << 20);
+  std::optional<core::VaultIndex> index;
+  if (state.range(1) != 0) {
+    index.emplace(vault, 1, std::uint64_t{1} << 17);
+  } else {
+    index.emplace(vault);
+  }
+  Xoshiro256 rng(1);
+  while (index->size() < keys) index->add(1 + rng.next_below(1u << 16));
+  std::uint64_t reads = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        index->contains(1 + rng.next_below(1u << 16), &reads));
+  }
+  state.counters["reads_per_op"] = static_cast<double>(reads) /
+                                   static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_VaultIndexContains)
+    ->ArgNames({"keys", "windowed"})
+    ->Args({8192, 1})
+    ->Args({8192, 0})
+    ->Args({34000, 1})
+    ->Args({34000, 0});
 
 void BM_LatencyInjectionPim(benchmark::State& state) {
   auto& inj = LatencyInjector::instance();

@@ -56,10 +56,12 @@ PimSkipList::PimSkipList(runtime::PimSystem& system, Options options)
   }
   for (std::size_t v = 0; v < system_.num_vaults(); ++v) {
     auto state = std::make_unique<VaultState>();
-    // The local index holds any key: migrations may later hand this vault
-    // a range below the one it started with (Section 4.2.1). Range routing
-    // is the directory's job, not the index's.
-    state->list = std::make_unique<VaultIndex>(system_.vault(v));
+    // The local index holds any key of the domain: migrations may later
+    // hand this vault a range below the one it started with (Section
+    // 4.2.1). Range routing is the directory's job; the index windows the
+    // whole domain so every vault computes any key's root the same way.
+    state->list = std::make_unique<VaultIndex>(
+        system_.vault(v), options_.key_min, options_.key_max);
     vaults_.push_back(std::move(state));
     // Batch handler: ride the runtime's batched mailbox drain (no per-
     // message head-of-line stall) but serve strictly in arrival order —

@@ -8,8 +8,9 @@
 // (keys not yet migrated are served locally, already-migrated keys are
 // forwarded to the target), the directory is updated when the hand-over
 // completes, and stale requests are rejected so the CPU re-routes. Each
-// vault keeps its keys in a fat-node VaultIndex (core/vault_index.hpp), so
-// an operation's beta is the index height rather than a skip-list search.
+// vault keeps its keys in a fat-node VaultIndex (core/vault_index.hpp)
+// windowed over [key_min, key_max], so an operation's beta is the height of
+// its key's window tree rather than a skip-list search.
 #pragma once
 
 #include <atomic>

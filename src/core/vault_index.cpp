@@ -21,11 +21,36 @@ void erase_slot(T* arr, int count, int pos) {
 
 }  // namespace
 
-VaultIndex::VaultIndex(runtime::Vault& vault) : vault_(vault) {
+VaultIndex::VaultIndex(runtime::Vault& vault, std::uint64_t key_min,
+                       std::uint64_t key_max)
+    : vault_(vault), key_min_(key_min) {
   if (vault.capacity() > runtime::Vault::kMaxOffsetCapacity) {
     throw std::length_error("VaultIndex: vault too large for 32-bit offsets");
   }
-  root_ = make_node(/*leaf=*/true);
+  if (key_max < key_min) {
+    throw std::invalid_argument("VaultIndex: key_max below key_min");
+  }
+  // span - 1, which cannot overflow even for the whole key space.
+  const std::uint64_t last = key_max - key_min;
+  width_ = last / (last < kMaxWindows ? last + 1 : kMaxWindows) + 1;
+  windows_ = static_cast<std::uint32_t>(last / width_ + 1);
+  roots_ = static_cast<Node*>(
+      vault_.allocate(windows_ * sizeof(Node), alignof(Node)));
+  for (std::uint32_t w = 0; w < windows_; ++w) {
+    roots_[w].count = 0;
+    roots_[w].leaf = true;
+  }
+  height_.assign(windows_, 1);
+}
+
+std::uint32_t VaultIndex::window_of(std::uint64_t key) const noexcept {
+  if (key <= key_min_) return 0;
+  return static_cast<std::uint32_t>(
+      std::min<std::uint64_t>((key - key_min_) / width_, windows_ - 1));
+}
+
+int VaultIndex::height() const noexcept {
+  return *std::max_element(height_.begin(), height_.end());
 }
 
 VaultIndex::Node* VaultIndex::make_node(bool leaf) {
@@ -36,6 +61,7 @@ VaultIndex::Node* VaultIndex::make_node(bool leaf) {
 }
 
 void VaultIndex::free_node(Node* node) {
+  assert((node < roots_ || node >= roots_ + windows_) && "root blocks stay");
   vault_.deallocate(node, sizeof(Node), alignof(Node));
 }
 
@@ -45,22 +71,25 @@ int VaultIndex::seek(const Node* leaf, std::uint64_t key) {
 }
 
 std::uint64_t VaultIndex::descend(std::uint64_t key, Path& path) const {
-  Node* node = root_;
-  for (int level = 0; level < height_ - 1; ++level) {
+  path.window = window_of(key);
+  const int height = height_[path.window];
+  Node* node = root(path.window);
+  for (int level = 0; level < height - 1; ++level) {
     int s = node->count - 1;
     while (s > 0 && node->in.sep[s] > key) --s;
     path.node[level] = node;
     path.slot[level] = static_cast<std::uint8_t>(s);
     node = child(node, s);
   }
-  path.node[height_ - 1] = node;
-  return static_cast<std::uint64_t>(height_);
+  path.node[height - 1] = node;
+  return static_cast<std::uint64_t>(height);
 }
 
 void VaultIndex::bound(Finger& f) const {
-  f.lo = 0;
+  const std::uint32_t w = f.path.window;
+  f.lo = w == 0 ? 0 : window_start(w);
   f.has_hi = false;
-  for (int level = height_ - 2; level >= 0; --level) {
+  for (int level = height_[w] - 2; level >= 0; --level) {
     const Node* node = f.path.node[level];
     const int s = f.path.slot[level];
     if (!f.has_hi && s + 1 < node->count) {
@@ -68,6 +97,10 @@ void VaultIndex::bound(Finger& f) const {
       f.has_hi = true;
     }
     if (s > 0) f.lo = std::max(f.lo, node->in.sep[s]);
+  }
+  if (!f.has_hi && w + 1 < windows_) {
+    f.hi = window_start(w + 1);
+    f.has_hi = true;
   }
   f.valid = true;
   f.epoch = mutation_epoch_;
@@ -85,7 +118,7 @@ std::uint64_t VaultIndex::hold(Finger& f, std::uint64_t key) const {
 
 bool VaultIndex::insert_at(Path& path, std::uint64_t key,
                            std::uint64_t& created) {
-  const int level = height_ - 1;
+  const int level = height_[path.window] - 1;
   Node* leaf = path.node[level];
   int pos = seek(leaf, key);
   if (pos < leaf->count && leaf->key[pos] == key) return false;
@@ -115,21 +148,26 @@ void VaultIndex::link_split(Path& path, int level, Node* right, bool follow,
                             std::uint64_t& created) {
   const std::uint64_t sep = right->leaf ? right->key[0] : right->in.sep[0];
   if (level == 0) {
-    // Root split: a new root over the two halves adds a level.
-    assert(height_ < kMaxDepth);
-    Node* root = make_node(/*leaf=*/false);
+    // Root split: the root block stays put. Its left half moves into a new
+    // child, and the root becomes an inner node over the two halves.
+    std::uint8_t& height = height_[path.window];
+    assert(height < kMaxDepth);
+    Node* top = root(path.window);
+    Node* left = make_node(top->leaf);
     ++created;
-    root->in.sep[0] = 0;  // entry 0's separator is never compared
-    root->in.child[0] = ref(root_);
-    root->in.sep[1] = sep;
-    root->in.child[1] = ref(right);
-    root->count = 2;
-    std::copy_backward(path.node, path.node + height_, path.node + height_ + 1);
-    std::copy_backward(path.slot, path.slot + height_, path.slot + height_ + 1);
-    path.node[0] = root;
+    *left = *top;
+    top->leaf = false;
+    top->in.sep[0] = 0;  // entry 0's separator is never compared
+    top->in.child[0] = ref(left);
+    top->in.sep[1] = sep;
+    top->in.child[1] = ref(right);
+    top->count = 2;
+    std::copy_backward(path.node, path.node + height, path.node + height + 1);
+    std::copy_backward(path.slot, path.slot + height, path.slot + height + 1);
+    path.node[0] = top;
+    path.node[1] = follow ? right : left;
     path.slot[0] = follow ? 1 : 0;
-    root_ = root;
-    ++height_;
+    ++height;
     return;
   }
   Node* parent = path.node[level - 1];
@@ -166,8 +204,10 @@ void VaultIndex::link_split(Path& path, int level, Node* right, bool follow,
   }
 }
 
-int VaultIndex::erase_at(Path& path, int pos) {
-  int level = height_ - 1;
+int VaultIndex::erase_at(Path& path, int pos, const Path& held,
+                         std::uint64_t& reads) {
+  std::uint8_t& height = height_[path.window];
+  int level = height - 1;
   Node* leaf = path.node[level];
   erase_slot(leaf->key, leaf->count, pos);
   --leaf->count;
@@ -182,24 +222,30 @@ int VaultIndex::erase_at(Path& path, int pos) {
     --parent->count;
     removed_at = level;
   }
-  while (height_ > 1 && root_->count == 1) {
-    Node* old = root_;
-    root_ = child(old, 0);
-    free_node(old);
-    --height_;
+  // Collapse: copy a lone child into the root block. The k-th child copied
+  // sits at level k of the tree as it was, so that is where `held` would
+  // have read it.
+  Node* top = root(path.window);
+  for (int dropped = 1; height > 1 && top->count == 1; ++dropped) {
+    Node* only = child(top, 0);
+    if (held.node[dropped] != only) ++reads;
+    *top = *only;
+    free_node(only);
+    --height;
   }
   return removed_at;
 }
 
 int VaultIndex::next_leaf(Path& path, std::uint64_t& reads) const {
-  int fork = height_ - 2;
+  const int height = height_[path.window];
+  int fork = height - 2;
   while (fork >= 0 && path.slot[fork] + 1 >= path.node[fork]->count) --fork;
   if (fork < 0) return -1;
   ++path.slot[fork];
-  for (int level = fork; level < height_ - 1; ++level) {
+  for (int level = fork; level < height - 1; ++level) {
     path.node[level + 1] = child(path.node[level], path.slot[level]);
     ++reads;
-    if (level + 1 < height_ - 1) path.slot[level + 1] = 0;
+    if (level + 1 < height - 1) path.slot[level + 1] = 0;
   }
   return fork;
 }
@@ -214,20 +260,20 @@ bool VaultIndex::add(std::uint64_t key, std::uint64_t* steps) {
 
 bool VaultIndex::remove(std::uint64_t key, std::uint64_t* steps) {
   Path path;
-  const std::uint64_t reads = descend(key, path);
-  if (steps != nullptr) *steps += reads;
-  const Node* leaf = path.node[height_ - 1];
+  std::uint64_t reads = descend(key, path);
+  const Node* leaf = path.node[height_[path.window] - 1];
   const int pos = seek(leaf, key);
-  if (pos == leaf->count || leaf->key[pos] != key) return false;
-  erase_at(path, pos);
-  return true;
+  const bool found = pos < leaf->count && leaf->key[pos] == key;
+  if (found) erase_at(path, pos, path, reads);
+  if (steps != nullptr) *steps += reads;
+  return found;
 }
 
 bool VaultIndex::contains(std::uint64_t key, std::uint64_t* steps) const {
   Path path;
   const std::uint64_t reads = descend(key, path);
   if (steps != nullptr) *steps += reads;
-  const Node* leaf = path.node[height_ - 1];
+  const Node* leaf = path.node[height_[path.window] - 1];
   const int pos = seek(leaf, key);
   return pos < leaf->count && leaf->key[pos] == key;
 }
@@ -237,7 +283,7 @@ std::optional<std::uint64_t> VaultIndex::first_at_least(
   Finger f;
   for (;;) {
     hold(f, key);
-    const Node* leaf = f.path.node[height_ - 1];
+    const Node* leaf = f.path.node[height_[f.path.window] - 1];
     const int pos = seek(leaf, key);
     if (pos < leaf->count) return leaf->key[pos];
     if (!f.has_hi) return std::nullopt;
@@ -251,29 +297,32 @@ std::optional<std::uint64_t> VaultIndex::extract_first_at_least(
   std::uint64_t reads = 0;
   for (;;) {
     reads += hold(f, key);
-    const Node* leaf = f.path.node[height_ - 1];
+    const std::uint32_t w = f.path.window;
+    const Node* leaf = f.path.node[height_[w] - 1];
     const int pos = seek(leaf, key);
     if (pos < leaf->count) {
       const std::uint64_t out = leaf->key[pos];
-      if (leaf->count > 1 || height_ == 1) {
-        erase_at(f.path, pos);
+      if (leaf->count > 1 || height_[w] == 1) {
+        erase_at(f.path, pos, f.path, reads);
         f.epoch = mutation_epoch_;
       } else {
         // The leaf empties and is freed: step the finger to the next leaf
         // first, then fix its path for the entry the free removes.
         Path emptied = f.path;
         const int fork = next_leaf(f.path, reads);
-        const int height = height_;
-        const int removed_at = erase_at(emptied, pos);
+        const int height = height_[w];
+        const int removed_at = erase_at(emptied, pos, f.path, reads);
         if (fork < 0) {
           f.valid = false;
         } else {
           if (removed_at == fork) --f.path.slot[fork];
-          const int collapsed = height - height_;  // root levels dropped
+          // Collapsed levels: their content now sits in the root block.
+          const int collapsed = height - height_[w];
           std::copy(f.path.node + collapsed, f.path.node + height,
                     f.path.node);
           std::copy(f.path.slot + collapsed, f.path.slot + height,
                     f.path.slot);
+          f.path.node[0] = root(w);
           bound(f);
           f.lo = out + 1;  // no key lies between `out` and the next leaf
         }

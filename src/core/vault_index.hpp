@@ -12,34 +12,54 @@
 // request of HMC 1.0, so one vault access brings back a block of keys
 // rather than one.
 //
+// Windows. The index splits its key domain [key_min, key_max] into up to
+// R = min(1024, span) equal windows (the width rounds up, so the last
+// window may be narrower and a span that 1024 does not divide may get
+// fewer), the paper's equal-range split (one range per vault, Section 4.2)
+// carried one level down, and gives each window its own tree. Every window's root is a block at a fixed address in one
+// contiguous R x 128-byte region reserved at construction, so the core
+// computes a key's root with arithmetic and reads nothing to find it; a
+// search then pays one read per node of a small tree instead of one per
+// level of a tree over the whole vault. Keys below key_min or above
+// key_max fall in the first or last window. A window's tree never holds
+// more keys than one tree over the whole vault would, so a clustered key
+// set costs no more than it would without windows. The region costs
+// 128 KB per index at R = 1024.
+//
 // Shape. A leaf holds up to kLeafKeys sorted keys. An inner node holds up
 // to kFanout (separator, child) entries; separator i is a lower bound of
 // child i's keys, and entry 0's separator is never compared, so child 0
 // takes every key below separator 1. A child is named by its 32-bit offset
 // in the vault arena (Vault::offset_of), not a 64-bit pointer, which is
-// what fits 10 entries into a block instead of 7. All leaves sit at the
-// same depth.
-// - A full node splits in half, and the split cascades up; a root split
-//   adds a level.
+// what fits 10 entries into a block instead of 7. All leaves of a window
+// sit at the same depth.
+// - A full node splits in half, and the split cascades up. A root split
+//   keeps the root block: it copies the root into a new left child and
+//   makes the root an inner node over the two halves, one level taller.
 // - An emptied node is freed and its parent entry removed; a root left
-//   with one child collapses into it. Nodes never merge otherwise.
+//   with one child collapses by copying that child into the root block.
+//   Nodes never merge otherwise.
 // - There are no sibling links: a scan that runs off a leaf re-descends to
-//   the next separator on its path.
+//   the next separator on its path, and off a window's last leaf to the
+//   next window's root.
 //
 // Charge rule (the paper's beta, reported through `steps` so the caller
 // charges one Lpim per unit): one access per node read, plus one per node a
-// split creates. Writes to nodes already read on the path are not charged.
-// A finger (InsertCursor, or the extraction finger behind
-// extract_first_at_least) that still holds its leaf reads nothing new. An
-// ascending insert sweep pays for the leaves its splits create, and an
-// extraction sweep steps from a drained leaf to the next one along its path
-// (about one read per leaf), so both pay about one access per leaf, not per
-// key.
+// split creates (a root split creates two). Writes to nodes already read
+// on the path are not charged; a collapse reads the child it copies, so it
+// pays one access when that child is not already on the path. A finger
+// (InsertCursor, or the extraction finger behind extract_first_at_least)
+// that still holds its leaf reads nothing new. An ascending insert sweep
+// pays for the leaves its splits create, and an extraction sweep steps
+// from a drained leaf to the next one along its path (about one read per
+// leaf), so both pay about one access per leaf, not per key, plus one
+// root read per window they enter.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "runtime/vault.hpp"
 
@@ -50,6 +70,8 @@ class VaultIndex {
   static constexpr std::size_t kNodeBytes = 128;
   static constexpr int kLeafKeys = 15;
   static constexpr int kFanout = 10;
+  /// Windows a key domain is split into, at most (one per key below that).
+  static constexpr std::uint64_t kMaxWindows = 1024;
   /// Path length bound. A root split needs a full root, and refilling a
   /// split node takes at least three splits one level down, so height h
   /// needs over 3^(h-2) leaf splits: 32 levels are out of reach.
@@ -57,9 +79,10 @@ class VaultIndex {
 
  private:
   struct Node;
-  /// One root-to-leaf path: node[0] is the root, node[height-1] the leaf,
-  /// slot[l] the child entry taken at inner level l.
+  /// One root-to-leaf path in `window`'s tree: node[0] is the root,
+  /// node[height-1] the leaf, slot[l] the child entry taken at inner level l.
   struct Path {
+    std::uint32_t window = 0;
     Node* node[kMaxDepth] = {};
     std::uint8_t slot[kMaxDepth] = {};
   };
@@ -75,9 +98,12 @@ class VaultIndex {
   };
 
  public:
-  /// Throws std::length_error if the vault is too large for 32-bit child
-  /// offsets (Vault::kMaxOffsetCapacity).
-  explicit VaultIndex(runtime::Vault& vault);
+  /// An index whose windows split [key_min, key_max] (by default the whole
+  /// key space). Throws std::length_error if the vault is too large for
+  /// 32-bit child offsets (Vault::kMaxOffsetCapacity), and
+  /// std::invalid_argument if key_max < key_min.
+  explicit VaultIndex(runtime::Vault& vault, std::uint64_t key_min = 0,
+                      std::uint64_t key_max = ~std::uint64_t{0});
 
   VaultIndex(const VaultIndex&) = delete;
   VaultIndex& operator=(const VaultIndex&) = delete;
@@ -114,8 +140,18 @@ class VaultIndex {
                         std::uint64_t* steps = nullptr);
 
   std::size_t size() const noexcept { return size_; }
-  /// Levels from the root to the leaves: what a contains() charges.
-  int height() const noexcept { return height_; }
+  /// Levels from `key`'s window root to its leaves: what a contains(key)
+  /// charges.
+  int height(std::uint64_t key) const noexcept {
+    return height_[window_of(key)];
+  }
+  /// The tallest window's height.
+  int height() const noexcept;
+  /// Windows the domain is split into, and the first key of window `w`.
+  std::uint32_t windows() const noexcept { return windows_; }
+  std::uint64_t window_start(std::uint32_t w) const noexcept {
+    return key_min_ + w * width_;
+  }
 
  private:
   struct Node {
@@ -130,7 +166,7 @@ class VaultIndex {
       Inner in;
     };
   };
-  static_assert(sizeof(Node) <= kNodeBytes, "a node is one vault block");
+  static_assert(sizeof(Node) == kNodeBytes, "a node is one vault block");
 
   Node* make_node(bool leaf);
   Node* child(const Node* inner, int slot) const {
@@ -138,6 +174,8 @@ class VaultIndex {
   }
   std::uint32_t ref(const Node* node) const { return vault_.offset_of(node); }
   void free_node(Node* node);
+  std::uint32_t window_of(std::uint64_t key) const noexcept;
+  Node* root(std::uint32_t window) const noexcept { return roots_ + window; }
   /// First slot of `leaf` holding a key >= `key` (its count if none).
   static int seek(const Node* leaf, std::uint64_t key);
 
@@ -155,15 +193,19 @@ class VaultIndex {
   void link_split(Path& path, int level, Node* right, bool follow,
                   std::uint64_t& created);
   /// Remove the leaf key at `pos`; free emptied nodes, collapse the root.
-  /// Returns the level of the node that lost a child entry, or -1.
-  int erase_at(Path& path, int pos);
+  /// A collapsed child costs `reads` one unless `held` already runs through
+  /// it. Returns the level of the node that lost a child entry, or -1.
+  int erase_at(Path& path, int pos, const Path& held, std::uint64_t& reads);
   /// Step `path` to the next leaf, one read per node it descends through.
   /// Returns the level it forked at, or -1 past the last leaf.
   int next_leaf(Path& path, std::uint64_t& reads) const;
 
   runtime::Vault& vault_;
-  Node* root_ = nullptr;
-  int height_ = 1;
+  std::uint64_t key_min_;
+  std::uint64_t width_ = 1;      // keys per window
+  std::uint32_t windows_ = 1;
+  Node* roots_ = nullptr;        // windows_ contiguous root blocks
+  std::vector<std::uint8_t> height_;  // per window
   std::size_t size_ = 0;
   std::uint64_t mutation_epoch_ = 0;
   Finger extract_finger_;

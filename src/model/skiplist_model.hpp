@@ -25,13 +25,18 @@ double estimate_beta(std::size_t size);
 inline constexpr double kRandomInsertFill = 0.6931471805599453;
 
 /// beta of the runtime's fat-node vault index (core::VaultIndex): node
-/// reads per search, which is the tree height, a whole number of levels.
-/// Leaves hold `leaf_capacity` keys and inner nodes `fanout` children; below
-/// the root each is filled to `fill`, while the root takes up to `fanout`
-/// children before it splits. So height h holds leaf_capacity keys at
-/// h = 1 and fanout * (fill*fanout)^(h-2) * fill*leaf_capacity keys above,
-/// and the result is the least h that holds `size`. Needs fill*fanout > 1.
+/// reads per search, which is the height of the searched key's window
+/// tree, a whole number of levels. Leaves hold `leaf_capacity` keys and
+/// inner nodes `fanout` children; below the root each is filled to `fill`,
+/// while the root takes up to `fanout` children before it splits. So
+/// height h holds leaf_capacity keys at h = 1 and
+/// fanout * (fill*fanout)^(h-2) * fill*leaf_capacity keys above. One window
+/// holds all `size` keys and the result is the least h that holds them.
+/// Over `windows` > 1 equal windows a window's key count is modeled as
+/// Poisson with mean size / windows, and the result is the expected least
+/// h, which is what a uniform search pays. Needs fill*fanout > 1.
 double fat_node_accesses(std::size_t size, int leaf_capacity, int fanout,
+                         std::size_t windows = 1,
                          double fill = kRandomInsertFill);
 
 /// Table 2 row 1: lock-free skip-list, p threads in parallel.

@@ -1,22 +1,6 @@
 #include "runtime/fat_arena.hpp"
 
-#include <cstdlib>
-
 namespace pimds::runtime {
-
-namespace {
-
-// Singleton construction leaves no ctor-argument hook, so the policy comes
-// from the environment; anything other than "hp"/"hazard" means EBR.
-ReclaimPolicy arena_policy_from_env() {
-  const char* env = std::getenv("PIMDS_ARENA_RECLAIM");
-  if (env != nullptr) {
-    if (auto p = parse_reclaim_policy(env)) return *p;
-  }
-  return ReclaimPolicy::kEbr;
-}
-
-}  // namespace
 
 FatArena& FatArena::instance() {
   static FatArena arena;
@@ -25,7 +9,7 @@ FatArena& FatArena::instance() {
 
 FatArena::FatArena()
     : pool_(kPoolCapacity),
-      reclaim_(make_reclaimer(arena_policy_from_env(), "fat_arena")),
+      reclaim_(make_reclaimer(ReclaimPolicy::kEbr, "fat_arena")),
       acquires_(obs::Registry::instance().counter("runtime.fat_arena.acquires")),
       releases_(obs::Registry::instance().counter("runtime.fat_arena.releases")),
       heap_allocs_(

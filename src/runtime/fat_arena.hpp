@@ -13,8 +13,7 @@
 // block can never re-enter the pool — and be handed to another sender —
 // while any thread still inside a read-side guard could be reading it.
 // That makes the recycling ABA-free without a tagged-pointer freelist.
-// The policy defaults to EBR; set PIMDS_ARENA_RECLAIM=hp in the
-// environment to bound the retire backlog with hazard pointers instead.
+// The arena retires through EBR.
 //
 // outstanding() (acquired minus released) is the leak detector the
 // shutdown balance assertions use: after a system quiesces it must be zero

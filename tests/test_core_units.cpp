@@ -167,8 +167,11 @@ TEST(VaultIndex, BothNodeKindsFitOneBlockAtTenAndFifteenEntries) {
     index.add(key++);
   }
   EXPECT_EQ(most_blocks, 1u + VaultIndex::kFanout);
-  // Every block, leaf or inner, is at most one 128-byte vault read.
-  EXPECT_LE(vault.bytes_used(), vault.live_blocks() * VaultIndex::kNodeBytes);
+  // Every block, leaf or inner, is at most one 128-byte vault read; the
+  // root region is one allocation of one such block per window.
+  EXPECT_LE(vault.bytes_used(),
+            (vault.live_blocks() - 1 + index.windows()) *
+                VaultIndex::kNodeBytes);
 }
 
 TEST(VaultIndex, GrowthFromPrefillToFourteenThousandKeysStaysAtHeightFive) {
@@ -330,6 +333,224 @@ TEST(VaultIndex, DifferentialAgainstStdSetThroughGrowthAndCollapse) {
   EXPECT_EQ(index.height(), 1);
   EXPECT_EQ(vault.live_blocks(), 1u);  // the root leaf
   EXPECT_EQ(index.first_at_least(0), std::nullopt);
+}
+
+// ------------------------------------------- VaultIndex key windows
+
+/// perfbench's skip-list domain, [1, 2^17]: 1,024 windows of 128 keys, of
+/// which vault 0 owns the lower 512.
+constexpr std::uint64_t kBenchKeyMax = std::uint64_t{1} << 17;
+
+TEST(WindowedVaultIndex, ContainsChargesExactlyItsWindowsHeight) {
+  runtime::Vault vault(0, 16u << 20);
+  VaultIndex index(vault, 1, kBenchKeyMax);
+  ASSERT_EQ(index.windows(), 1024u);
+  ASSERT_EQ(index.window_start(1), 129u);
+  fill_uniform(index, 8192, 1);  // vault 0's half: ~16 keys per window
+  Xoshiro256 rng(2);
+  constexpr int kProbes = 4000;
+  std::uint64_t total = 0;
+  for (int i = 0; i < kProbes; ++i) {
+    const std::uint64_t key = 1 + rng.next_below(1u << 16);
+    std::uint64_t steps = 0;
+    index.contains(key, &steps);
+    ASSERT_EQ(steps, static_cast<std::uint64_t>(index.height(key))) << key;
+    total += steps;
+  }
+  // One tree over the vault is 5 levels here; a window's is 1 or 2.
+  EXPECT_LT(static_cast<double>(total) / kProbes, 2.0);
+  EXPECT_EQ(index.height(), 2);
+}
+
+TEST(WindowedVaultIndex, ClusteredKeysChargeWhatOneWholeDomainTreeCharges) {
+  runtime::Vault windowed_vault(0, 16u << 20);
+  VaultIndex windowed(windowed_vault, 1, kBenchKeyMax);
+  runtime::Vault whole_vault(1, 16u << 20);
+  VaultIndex whole(whole_vault);  // every key below 2^54 under one root
+  const std::uint64_t lo = windowed.window_start(5);
+  const std::uint64_t span = windowed.window_start(6) - lo;
+  Xoshiro256 rng(4);
+  int splits = 0;
+  int collapses = 0;
+  const auto same = [&](int op, std::uint64_t key) {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    const int height = whole.height();
+    if (op == 0) {
+      ASSERT_EQ(windowed.add(key, &a), whole.add(key, &b)) << key;
+    } else if (op == 1) {
+      ASSERT_EQ(windowed.remove(key, &a), whole.remove(key, &b)) << key;
+    } else {
+      ASSERT_EQ(windowed.contains(key, &a), whole.contains(key, &b)) << key;
+    }
+    ASSERT_EQ(a, b) << "op " << op << " key " << key;
+    ASSERT_EQ(windowed.height(key), whole.height());
+    splits += whole.height() > height;
+    collapses += whole.height() < height;
+  };
+  // Grow the window's tree to its fullest, then shrink it, so roots split
+  // and collapse on both sides.
+  for (int add_share : {3, 0}) {
+    for (int i = 0; i < 4000; ++i) {
+      const std::uint64_t key = lo + rng.next_below(span);
+      const int dice = static_cast<int>(rng.next_below(4));
+      same(dice < add_share ? 0 : dice == 3 ? 2 : 1, key);
+    }
+  }
+  EXPECT_GT(splits, 0);
+  EXPECT_GT(collapses, 0);
+  for (std::uint64_t key = lo; key < lo + span; key += 2) same(0, key);
+  // A migration sweep out of the window, and back in through a finger.
+  std::vector<std::uint64_t> moved;
+  for (std::uint64_t cursor = lo;;) {
+    const auto next = windowed.first_at_least(cursor);
+    ASSERT_EQ(next, whole.first_at_least(cursor));
+    if (!next.has_value()) break;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    ASSERT_EQ(windowed.extract_first_at_least(cursor, &a),
+              whole.extract_first_at_least(cursor, &b));
+    ASSERT_EQ(a, b) << *next;
+    moved.push_back(*next);
+    cursor = *next + 1;
+  }
+  VaultIndex::InsertCursor windowed_finger;
+  VaultIndex::InsertCursor whole_finger;
+  for (const std::uint64_t key : moved) {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    ASSERT_TRUE(windowed.insert_ascending(windowed_finger, key, &a));
+    ASSERT_TRUE(whole.insert_ascending(whole_finger, key, &b));
+    ASSERT_EQ(a, b) << key;
+  }
+  EXPECT_EQ(windowed.size(), whole.size());
+}
+
+TEST(WindowedVaultIndex, DifferentialAgainstStdSetAcrossManyWindows) {
+  runtime::Vault vault(0, 32u << 20);
+  VaultIndex index(vault, 1, 1u << 20);  // 1,024 windows of 1,024 keys
+  std::set<std::uint64_t> reference;
+  Xoshiro256 rng(6);
+  constexpr std::uint64_t kKeys = 1u << 16;  // the lowest 64 windows
+  std::uint64_t splits = 0;
+  std::uint64_t collapses = 0;
+  const auto apply = [&](bool add, std::uint64_t key) {
+    const int height = index.height(key);
+    std::uint64_t steps = 0;
+    if (add) {
+      ASSERT_EQ(index.add(key, &steps), reference.insert(key).second) << key;
+      ASSERT_GE(steps, static_cast<std::uint64_t>(height));
+    } else {
+      ASSERT_EQ(index.remove(key, &steps), reference.erase(key) > 0) << key;
+      // The descent, plus one read per collapsed child off the path.
+      ASSERT_EQ(steps, static_cast<std::uint64_t>(
+                           height + height - index.height(key)))
+          << key;
+    }
+    splits += index.height(key) > height;
+    collapses += index.height(key) < height;
+  };
+  const auto check = [&](std::uint64_t key) {
+    std::uint64_t steps = 0;
+    ASSERT_EQ(index.contains(key, &steps), reference.count(key) > 0) << key;
+    ASSERT_EQ(steps, static_cast<std::uint64_t>(index.height(key)));
+    const auto it = reference.lower_bound(key);
+    const std::optional<std::uint64_t> want =
+        it == reference.end() ? std::nullopt : std::optional(*it);
+    ASSERT_EQ(index.first_at_least(key), want) << key;
+  };
+  // Grow every window to three levels while mixing in removes.
+  while (reference.size() < 40000) {
+    apply(rng.next_below(4) != 0, 1 + rng.next_below(kKeys));
+  }
+  EXPECT_EQ(index.height(), 3);
+  ASSERT_EQ(index.size(), reference.size());
+  EXPECT_GE(splits, 2 * (kKeys >> 10));  // two root splits per window
+  for (int i = 0; i < 3000; ++i) check(1 + rng.next_below(kKeys + 4096));
+  // Empty windows 20-29: first_at_least must cross them.
+  for (std::uint64_t key = index.window_start(20);
+       key < index.window_start(30); ++key) {
+    apply(false, key);
+  }
+  for (std::uint64_t key = index.window_start(19);
+       key < index.window_start(31); key += 97) {
+    check(key);
+  }
+  // Drain in random order until every window is one empty root leaf.
+  std::vector<std::uint64_t> rest(reference.begin(), reference.end());
+  for (std::size_t i = rest.size(); i > 1; --i) {
+    std::swap(rest[i - 1], rest[rng.next_below(i)]);
+  }
+  for (std::size_t i = 0; i < rest.size(); ++i) {
+    apply(false, rest[i]);
+    if (i % 97 == 0) check(rest[i]);
+  }
+  EXPECT_GT(collapses, 0u);
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.height(), 1);
+  EXPECT_EQ(vault.live_blocks(), 1u);  // the root region
+  EXPECT_EQ(index.first_at_least(0), std::nullopt);
+}
+
+TEST(WindowedVaultIndex, MigrationHelpersSweepAcrossWindowsIncludingEmptyOnes) {
+  runtime::Vault source_vault(0, 16u << 20);
+  VaultIndex source(source_vault, 1, 1u << 18);  // windows of 256 keys
+  constexpr std::uint32_t kFirst = 10;
+  const std::uint64_t lo = source.window_start(kFirst);
+  const std::uint64_t hi = source.window_start(kFirst + 5);
+  // Windows kFirst + 2 and kFirst + 3 stay empty; the neighbors outside
+  // [lo, hi) are full and must stay put.
+  const auto in_sweep = [&](std::uint64_t key) {
+    return key >= lo && key < hi &&
+           (key < source.window_start(kFirst + 2) ||
+            key >= source.window_start(kFirst + 4));
+  };
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t key = source.window_start(kFirst - 1);
+       key < source.window_start(kFirst + 6); ++key) {
+    if (key >= lo && key < hi && !in_sweep(key)) continue;
+    source.add(key);
+    if (in_sweep(key)) expected.push_back(key);
+  }
+  ASSERT_EQ(expected.size(), 3 * 256u);
+  std::vector<std::uint64_t> moved;
+  std::uint64_t extract_steps = 0;
+  for (std::uint64_t cursor = lo;;) {
+    const auto next = source.first_at_least(cursor);
+    if (!next.has_value() || *next >= hi) break;
+    ASSERT_EQ(source.extract_first_at_least(cursor, &extract_steps), next);
+    moved.push_back(*next);
+    cursor = *next + 1;
+  }
+  EXPECT_EQ(moved, expected);
+  EXPECT_LE(extract_steps, moved.size() / 4);
+  EXPECT_EQ(source.size(), 2 * 256u);
+  EXPECT_EQ(source.first_at_least(lo), std::optional(hi));
+  for (std::uint32_t w = kFirst; w < kFirst + 5; ++w) {
+    EXPECT_EQ(source.height(source.window_start(w)), 1) << w;
+  }
+
+  // The target holds the full windows on both sides of the incoming range.
+  runtime::Vault target_vault(1, 16u << 20);
+  VaultIndex target(target_vault, 1, 1u << 18);
+  for (std::uint64_t key = source.window_start(kFirst - 1); key < lo; ++key) {
+    target.add(key);
+  }
+  for (std::uint64_t key = hi; key < source.window_start(kFirst + 6); ++key) {
+    target.add(key);
+  }
+  VaultIndex::InsertCursor finger;
+  std::uint64_t insert_steps = 0;
+  for (const std::uint64_t key : moved) {
+    ASSERT_TRUE(target.insert_ascending(finger, key, &insert_steps));
+  }
+  EXPECT_LE(insert_steps, moved.size() / 4);
+  EXPECT_EQ(target.size(), 5 * 256u);
+  for (std::uint64_t key = source.window_start(kFirst - 1);
+       key < source.window_start(kFirst + 6); ++key) {
+    ASSERT_EQ(target.contains(key), key < lo || key >= hi || in_sweep(key))
+        << key;
+  }
 }
 
 // --------------------------------------------------- QueueVault (Alg. 1)

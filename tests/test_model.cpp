@@ -117,12 +117,14 @@ TEST(Table2, FatNodeAccessesGrowLogarithmically) {
 }
 
 TEST(Table2, FatNodeAccessesMatchTheVaultIndex) {
-  // perfbench's per-vault shape: 8,192 distinct uniform keys in [1, 2^16],
-  // and the ~14,000 a vault grows to over a skiplist_read run.
+  // perfbench's skip-list domain is [1, 2^17] and vault 0 owns its lower
+  // half: 8,192 distinct uniform keys in [1, 2^16] after the prefill, the
+  // ~14,000 a vault grows to over a skiplist_read run, and 34,000 beyond.
   runtime::Vault vault(0, 16u << 20);
-  core::VaultIndex index(vault);
+  core::VaultIndex index(vault, 1, std::uint64_t{1} << 17);
+  const std::size_t windows = index.windows() / 2;  // vault 0's half
   Xoshiro256 rng(1);
-  for (const std::size_t keys : {8192u, 14000u}) {
+  for (const std::size_t keys : {8192u, 14000u, 34000u}) {
     while (index.size() < keys) index.add(1 + rng.next_below(1u << 16));
     constexpr int kProbes = 10000;
     std::uint64_t steps = 0;
@@ -130,8 +132,9 @@ TEST(Table2, FatNodeAccessesMatchTheVaultIndex) {
       index.contains(1 + rng.next_below(1u << 16), &steps);
     }
     const double measured = static_cast<double>(steps) / kProbes;
-    const double model = fat_node_accesses(
-        index.size(), core::VaultIndex::kLeafKeys, core::VaultIndex::kFanout);
+    const double model =
+        fat_node_accesses(index.size(), core::VaultIndex::kLeafKeys,
+                          core::VaultIndex::kFanout, windows);
     EXPECT_NEAR(measured / model, 1.0, 0.10)
         << keys << " keys: measured " << measured << " model " << model;
   }
