@@ -11,8 +11,9 @@
 //  - seed per-message path (batch_drain off, no combining: the core blocks
 //    on every message's delivery time → Lmessage + Lpim per op) vs. the
 //    batched path (drain every deliverable message per pass → Lpim per op);
-//  - response pipelining on/off (Section 5.2 / Figure 6);
 //  - drain batch size sweep.
+// Response pipelining on/off (Section 5.2 / Figure 6) is ablation A3, run in
+// the simulator (ablation_pipelining).
 //
 // Emits BENCH_batch_drain.json (--json <file>) with a "speedup" note:
 // batched+pipelined vs. seed per-message, measured in this same binary.
@@ -33,7 +34,6 @@ using namespace pimds;
 
 struct RunConfig {
   bool batch_drain = true;
-  bool pipelined = true;
   bool cpu_combining = true;
   bool enqueue_combining = true;
   std::size_t drain_batch = 64;
@@ -51,7 +51,6 @@ double run_queue(const RunConfig& rc, std::size_t threads, std::size_t ops_per_t
   config.params.pim_ns = pim_ns_scale;
   config.batch_drain = rc.batch_drain;
   config.drain_batch = rc.drain_batch;
-  config.pipelined_responses = rc.pipelined;
   // Give each vault core its own CPU when the host has them to spare;
   // on smaller hosts pinning would just stack everything on CPU 0.
   config.pin_cores = hardware_threads() > config.num_vaults;
@@ -80,8 +79,6 @@ double run_queue(const RunConfig& rc, std::size_t threads, std::size_t ops_per_t
   // enqueue + dequeue each count as one operation.
   return static_cast<double>(2 * threads * ops_per_thread) / secs;
 }
-
-std::string onoff(bool b) { return b ? "on" : "off"; }
 
 }  // namespace
 
@@ -114,7 +111,6 @@ int main(int argc, char** argv) {
 
   RunConfig seed;
   seed.batch_drain = false;
-  seed.pipelined = true;  // the seed runtime did pipeline its replies
   seed.cpu_combining = false;
   seed.enqueue_combining = false;
   // Warm-up (thread pool / allocator / injector calibration), then measure
@@ -174,23 +170,6 @@ int main(int argc, char** argv) {
   }
   std::printf("(acceptance: batched+pipelined >= 1.5x seed; measured %.2fx)\n",
               batched_tput / seed_tput);
-
-  banner("Ablation A4b: response pipelining on/off (batched path)");
-  {
-    Table t2({"pipelining", "Mops/s"}, 16);
-    t2.print_header();
-    for (bool pipelined : {true, false}) {
-      RunConfig rc;
-      rc.pipelined = pipelined;
-      const double tput = run_queue(rc, threads, ops / 2);
-      t2.print_row({onoff(pipelined), mops(tput)});
-      json.record(std::string("pipelining_") + onoff(pipelined),
-                  {{"batch_drain", "on"},
-                   {"pipelining", onoff(pipelined)},
-                   {"threads", std::to_string(threads)}},
-                  tput);
-    }
-  }
 
   banner("Ablation A4c: drain batch size sweep (batched path)");
   {

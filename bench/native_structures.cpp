@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
     config.params.pim_ns = 2000.0;  // scaled up so injection >> overheads
     {
       runtime::PimSystem system(config);
-      core::PimLinkedList list(system, {0, true, 64});
+      core::PimLinkedList list(system);
       system.start();
       prefill(list, 100, 200);
       const double tput = measure(2, set_op(list, 200));

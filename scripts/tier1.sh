@@ -156,7 +156,8 @@ if [[ "$skip_asan" == 0 ]]; then
   cmake --preset asan > /dev/null
   cmake --build build-asan -j --target test_reclaim test_baselines \
     test_mpmc_ebr soak_reclamation test_core_units test_extensions \
-    test_core_structures test_mailbox_batch
+    test_core_structures test_mailbox_batch test_sim_structures \
+    test_sim_rebalance
   # LSan runs at exit by default under ASan: any node a policy drops on the
   # floor (or frees twice) fails here even if no test assertion notices.
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_reclaim
@@ -168,6 +169,11 @@ if [[ "$skip_asan" == 0 ]]; then
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_extensions
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_core_structures
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_mailbox_batch
+  # The shared sequential list and skip list (core/sorted_list.hpp,
+  # core/skip_list.*) allocate and free nodes by hand; test_sim_rebalance
+  # drives extraction and ascending inserts through the migration runs.
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_sim_structures
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_sim_rebalance
   # Cap the malloc quarantine: its default (256 MB) parks freed churn nodes
   # in RSS and would trip the soak's leak ceiling without any actual leak.
   ASAN_OPTIONS="halt_on_error=1:quarantine_size_mb=32" \

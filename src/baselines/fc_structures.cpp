@@ -1,6 +1,5 @@
 #include "baselines/fc_structures.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <mutex>
 
@@ -8,56 +7,41 @@ namespace pimds::baselines {
 
 namespace {
 using Records = std::vector<FlatCombiner<SetRequest, bool>::Record*>;
+
+/// Hop-cost hook of the FC structures: one CPU DRAM access per node.
+void charge_cpu_hops(std::uint64_t n) {
+  for (; n > 0; --n) charge_cpu_access();
 }
+}  // namespace
 
 bool FcLinkedList::execute(SetRequest req) {
   return fc_.execute(req, [this](Records& batch) {
     if (combining_) {
       // One ascending traversal serves the whole batch (Section 4.1).
-      std::sort(batch.begin(), batch.end(),
-                [](const auto* a, const auto* b) {
-                  return a->req.key < b->req.key;
-                });
-      SeqList::Cursor cursor;
-      for (auto* rec : batch) {
-        switch (rec->req.op) {
-          case SetRequest::Op::kAdd:
-            rec->res = list_.add_from(&cursor, rec->req.key);
-            break;
-          case SetRequest::Op::kRemove:
-            rec->res = list_.remove_from(&cursor, rec->req.key);
-            break;
-          case SetRequest::Op::kContains:
-            rec->res = list_.contains_from(&cursor, rec->req.key);
-            break;
-        }
+      std::vector<SetRequest> requests;
+      requests.reserve(batch.size());
+      for (const auto* rec : batch) requests.push_back(rec->req);
+      std::vector<bool> results(batch.size());
+      list_.execute_batch(requests, results, charge_cpu_hops);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        batch[i]->res = results[i];
       }
       return;
     }
     for (auto* rec : batch) {
-      switch (rec->req.op) {
-        case SetRequest::Op::kAdd:
-          rec->res = list_.add(rec->req.key);
-          break;
-        case SetRequest::Op::kRemove:
-          rec->res = list_.remove(rec->req.key);
-          break;
-        case SetRequest::Op::kContains:
-          rec->res = list_.contains(rec->req.key);
-          break;
-      }
+      rec->res = list_.execute(rec->req.op, rec->req.key, charge_cpu_hops);
     }
   });
 }
 
 bool FcLinkedList::add(std::uint64_t key) {
-  return execute({SetRequest::Op::kAdd, key});
+  return execute({SetOp::kAdd, key});
 }
 bool FcLinkedList::remove(std::uint64_t key) {
-  return execute({SetRequest::Op::kRemove, key});
+  return execute({SetOp::kRemove, key});
 }
 bool FcLinkedList::contains(std::uint64_t key) {
-  return execute({SetRequest::Op::kContains, key});
+  return execute({SetOp::kContains, key});
 }
 
 FcSkipList::FcSkipList(std::uint64_t key_range, std::size_t partitions)
@@ -65,12 +49,8 @@ FcSkipList::FcSkipList(std::uint64_t key_range, std::size_t partitions)
   assert(partitions >= 1);
   parts_.reserve(partitions);
   for (std::size_t i = 0; i < partitions; ++i) {
-    Partition p;
-    // Sentinel at the partition's lower bound minus one (keys start at 1).
-    p.list = std::make_unique<SeqSkipList>(i * key_range / partitions,
-                                           0x5eedULL + i);
-    p.fc = std::make_unique<FlatCombiner<SetRequest, bool>>();
-    parts_.push_back(std::move(p));
+    parts_.push_back(std::make_unique<Partition>(i * key_range / partitions,
+                                                 0x5eedULL + i));
   }
 }
 
@@ -82,39 +62,30 @@ std::size_t FcSkipList::route(std::uint64_t key) const {
 
 bool FcSkipList::execute(SetRequest req) {
   assert(req.key >= 1 && req.key <= key_range_);
-  Partition& part = parts_[route(req.key)];
-  return part.fc->execute(req, [&part](Records& batch) {
+  Partition& part = *parts_[route(req.key)];
+  return part.fc.execute(req, [&part](Records& batch) {
     // No combining for skip-lists: distant keys share no traversal prefix
     // (Section 4.2), so the combiner executes requests one by one.
     for (auto* rec : batch) {
-      switch (rec->req.op) {
-        case SetRequest::Op::kAdd:
-          rec->res = part.list->add(rec->req.key);
-          break;
-        case SetRequest::Op::kRemove:
-          rec->res = part.list->remove(rec->req.key);
-          break;
-        case SetRequest::Op::kContains:
-          rec->res = part.list->contains(rec->req.key);
-          break;
-      }
+      rec->res = part.list.execute(rec->req.op, rec->req.key, part.rng,
+                                   charge_cpu_hops);
     }
   });
 }
 
 bool FcSkipList::add(std::uint64_t key) {
-  return execute({SetRequest::Op::kAdd, key});
+  return execute({SetOp::kAdd, key});
 }
 bool FcSkipList::remove(std::uint64_t key) {
-  return execute({SetRequest::Op::kRemove, key});
+  return execute({SetOp::kRemove, key});
 }
 bool FcSkipList::contains(std::uint64_t key) {
-  return execute({SetRequest::Op::kContains, key});
+  return execute({SetOp::kContains, key});
 }
 
 std::size_t FcSkipList::size() const noexcept {
   std::size_t total = 0;
-  for (const Partition& p : parts_) total += p.list->size();
+  for (const auto& p : parts_) total += p->list.size();
   return total;
 }
 

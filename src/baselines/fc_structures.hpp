@@ -3,6 +3,10 @@
 // Section 4.1 / Figure 2), the FC skip-list with k partitions
 // (Section 4.2 / Figure 4), and the FC FIFO queue with separate enqueue and
 // dequeue combiner locks (Section 5.2).
+//
+// The lists run the shared sequential cores (core/sorted_list.hpp,
+// core/skip_list.hpp). The combiner is an ordinary CPU thread, so each node
+// access charges one CPU DRAM access when latency injection is enabled.
 #pragma once
 
 #include <cstdint>
@@ -12,15 +16,14 @@
 #include <vector>
 
 #include "baselines/flat_combining.hpp"
-#include "baselines/seq_structures.hpp"
+#include "common/rng.hpp"
+#include "core/skip_list.hpp"
+#include "core/sorted_list.hpp"
 
 namespace pimds::baselines {
 
-struct SetRequest {
-  enum class Op : std::uint8_t { kAdd, kRemove, kContains };
-  Op op = Op::kContains;
-  std::uint64_t key = 0;
-};
+using core::SetOp;
+using core::SetRequest;
 
 /// Flat-combining sorted linked-list.
 class FcLinkedList {
@@ -40,7 +43,7 @@ class FcLinkedList {
   bool execute(SetRequest req);
 
   bool combining_;
-  SeqList list_;
+  core::SortedList<> list_;
   FlatCombiner<SetRequest, bool> fc_;
 };
 
@@ -60,15 +63,20 @@ class FcSkipList {
 
  private:
   struct Partition {
-    std::unique_ptr<SeqSkipList> list;
-    std::unique_ptr<FlatCombiner<SetRequest, bool>> fc;
+    /// Sentinel at the partition's lower bound minus one (keys start at 1).
+    Partition(std::uint64_t sentinel, std::uint64_t seed)
+        : list(sentinel), rng(seed) {}
+
+    core::SkipList list;
+    Xoshiro256 rng;  ///< tower heights
+    FlatCombiner<SetRequest, bool> fc;
   };
 
   bool execute(SetRequest req);
   std::size_t route(std::uint64_t key) const;
 
   std::uint64_t key_range_;
-  std::vector<Partition> parts_;
+  std::vector<std::unique_ptr<Partition>> parts_;
 };
 
 /// Flat-combining FIFO queue with two combiner locks, one for enqueues and

@@ -1,11 +1,12 @@
 // PIM-managed linked-list (Section 4.1).
 //
 // The entire sorted list lives in one vault; CPU threads send operation
-// requests to that vault's PIM core and wait on a response slot. With the
-// combining optimization the core serves every request of a drained batch
-// in ONE traversal (requests are served in ascending key order), which is
-// what lets the structure beat a fine-grained-locking list despite having
-// no intra-structure parallelism.
+// requests to that vault's PIM core and wait on a response slot. The core
+// serves every request of a drained batch in ONE traversal (the combining
+// optimization: requests are served in ascending key order), which is what
+// lets the structure beat a fine-grained-locking list despite having no
+// intra-structure parallelism. The list is the shared core::SortedList with
+// its nodes in the vault and each node hop charged as one local access.
 //
 // Both ends of the message path batch (the batch-per-crossing shape):
 //  - CPU side: co-located threads combine waiting requests so up to
@@ -19,6 +20,7 @@
 
 #include <cstdint>
 
+#include "core/sorted_list.hpp"
 #include "runtime/combiner.hpp"
 #include "runtime/system.hpp"
 
@@ -27,12 +29,7 @@ namespace pimds::core {
 class PimLinkedList {
  public:
   struct Options {
-    std::size_t vault = 0;       ///< vault that stores the list
-    bool combining = true;       ///< Section 4.1 combining optimization
-    std::size_t max_batch = 64;  ///< cap on requests combined per traversal
-    /// CPU-side request combining: waiting co-located requests ride one
-    /// crossbar message (off = one message per request, the seed path).
-    bool cpu_combining = true;
+    std::size_t vault = 0;  ///< vault that stores the list
   };
 
   /// Installs this list's message handler on `options.vault`. Must be
@@ -48,8 +45,8 @@ class PimLinkedList {
   bool remove(std::uint64_t key);
   bool contains(std::uint64_t key);
 
-  /// Current number of keys (maintained by the PIM core; reads are
-  /// racy-but-monotonic snapshots suitable for stats).
+  /// Current number of keys (published by the PIM core after each
+  /// traversal; reads are racy snapshots suitable for stats).
   std::size_t size() const noexcept {
     return size_.value.load(std::memory_order_relaxed);
   }
@@ -65,32 +62,20 @@ class PimLinkedList {
   }
 
  private:
-  struct Node {
-    std::uint64_t key;
-    Node* next;
-  };
-
-  /// One decoded request (a plain kAdd/kRemove/kContains message, or one
-  /// entry of a CPU-combined kOpBatch).
-  struct Op {
-    std::uint32_t kind;
-    std::uint64_t key;
-    void* slot;
-  };
-
   enum Kind : std::uint32_t { kAdd = 1, kRemove = 2, kContains = 3,
                               kOpBatch = 4 };
 
   void handle_batch(runtime::PimCoreApi& api, const runtime::Message* msgs,
                     std::size_t n);
-  void serve(runtime::PimCoreApi& api, Op* ops, std::size_t n);
-  bool apply(runtime::PimCoreApi& api, std::uint32_t kind, std::uint64_t key,
-             Node*& cursor_prev);
+  void serve(runtime::PimCoreApi& api, const SetRequest* requests,
+             runtime::ResponseSlot<bool>* const* slots, std::size_t n);
   bool submit(Kind kind, std::uint64_t key);
 
   runtime::PimSystem& system_;
   Options options_;
-  Node* head_;  // dummy node with key 0, allocated in the vault
+  /// Lives in the vault, like its nodes, and is never destroyed: the vault
+  /// arena goes away with the PimSystem, which may die before this object.
+  SortedList<runtime::Vault>* list_;
   runtime::RequestCombiner combiner_;
   CachePadded<std::atomic<std::size_t>> size_{0};
   CachePadded<std::atomic<std::size_t>> max_batch_seen_{0};

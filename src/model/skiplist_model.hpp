@@ -2,7 +2,8 @@
 //
 // beta is the average number of nodes an operation accesses to locate its
 // key (Theta(log N)). The paper leaves beta abstract; callers either supply
-// a measured value (SimSkipList::observed_beta) or use estimate_beta() for
+// a measured value (the hops core::SkipList charges per search, counted
+// through its hop-cost hook) or use estimate_beta() for
 // the paper's one-key skip list and fat_node_accesses() for the runtime's
 // fat-node vault index.
 #pragma once

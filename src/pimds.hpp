@@ -35,6 +35,9 @@
 #include "core/pim_linked_list.hpp"
 #include "core/pim_skiplist.hpp"
 #include "core/sentinel_directory.hpp"
+#include "core/set_op.hpp"
+#include "core/skip_list.hpp"
+#include "core/sorted_list.hpp"
 #include "core/vault_index.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/message.hpp"
@@ -49,7 +52,6 @@
 #include "baselines/lazy_list.hpp"
 #include "baselines/lockfree_skiplist.hpp"
 #include "baselines/ms_queue.hpp"
-#include "baselines/seq_structures.hpp"
 #include "baselines/spinlock.hpp"
 
 // Discrete-event simulator and the simulated experiments.

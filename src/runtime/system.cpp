@@ -54,12 +54,7 @@ std::uint64_t PimCoreApi::reply_ready_ns() const {
   // The response_flight phase is measured by the consumer (publish stamp →
   // delivery instant, ResponseSlot::await), not recorded here as the
   // modeled constant — see the degenerate-histogram fix in DESIGN.md §5e.
-  if (system_.config_.pipelined_responses) return now_ns() + lmsg;
-  // Unpipelined ablation: the core stalls until the reply would have been
-  // received, then serves the next request (Section 5.2's "no pipelining"
-  // column).
-  spin_for_ns(lmsg);
-  return 0;
+  return now_ns() + lmsg;
 }
 
 PimSystem::PimSystem(Config config) : config_(config) {

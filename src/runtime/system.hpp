@@ -16,8 +16,7 @@
 // the whole batch to the vault's handler; responses are published with a
 // computed future ready_ns while the core moves on to the next request, so
 // the core's service rate approaches 1/Lpim instead of 1/(Lmessage + Lpim).
-// Config::batch_drain / Config::pipelined_responses turn either half off
-// for ablations (the seed per-message path is batch_drain = false).
+// Config::batch_drain turns the batching off for the seed per-message path.
 //
 // Waiting is tiered on both sides: the core's idle loop and gather window,
 // ResponseSlot::await and RequestCombiner::submit spin, then yield, then
@@ -66,8 +65,7 @@ class PimCoreApi {
   /// Delivery deadline for a reply published right now: now + Lmessage when
   /// injection is enabled, 0 (immediately visible) otherwise. This is the
   /// Section 5.2 pipelining: the response is "in flight" while the core
-  /// serves the next request. With Config::pipelined_responses = false the
-  /// core instead stalls here until the reply would have been received.
+  /// serves the next request.
   std::uint64_t reply_ready_ns() const;
 
  private:
@@ -100,10 +98,6 @@ class PimSystem {
     /// sleep hands the CPU to the senders on oversubscribed hosts.
     /// 0 = auto: Lpim when latency injection is on, else off.
     std::uint64_t drain_gather_window_ns = 0;
-    /// Section 5.2 response pipelining: publish replies with a future
-    /// ready_ns and keep serving (false = the core waits out Lmessage per
-    /// reply before the next request; ablation knob).
-    bool pipelined_responses = true;
     /// Pin each vault's PIM-core thread to CPU `vault_id` (modulo the
     /// hardware thread count) so a core and its lanes keep a stable
     /// placement. Off by default: benches opt in; oversubscribed test

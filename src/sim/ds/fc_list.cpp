@@ -1,5 +1,4 @@
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "sim/ds/linked_lists.hpp"
@@ -10,31 +9,30 @@ namespace pimds::sim {
 RunResult run_fc_list(const ListConfig& cfg, bool combining) {
   Engine engine(cfg.params, cfg.seed);
   engine.set_perturbation(cfg.perturb);
-  SimList list;
+  core::SortedList<> list;
   Xoshiro256 setup(cfg.seed ^ 0xabcdefULL);
   list.populate(setup, cfg.initial_size, cfg.key_range);
   record_setup_contents(cfg.recorder, list.keys());
 
-  using Combiner = SimFlatCombiner<std::pair<SetOp, std::uint64_t>, bool>;
+  using Combiner = SimFlatCombiner<SetRequest, bool>;
   // Table 1 counts only traversal costs for the FC list; the publication
   // list / combiner lock overheads are noted as negligible there.
   Combiner fc;
 
   const auto serve = [&](Context& ctx, std::vector<Combiner::Pending>& batch) {
+    const auto charge = hop_charge(ctx, MemClass::kCpuDram);
     if (combining) {
-      std::vector<std::pair<SetOp, std::uint64_t>> requests;
+      std::vector<SetRequest> requests;
       requests.reserve(batch.size());
       for (const auto& p : batch) requests.push_back(p.request);
-      std::vector<bool> results;
-      list.execute_combined(ctx, requests, results, MemClass::kCpuDram);
+      std::vector<bool> results(batch.size());
+      list.execute_batch(requests, results, charge);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         batch[i].slot->set(ctx, results[i]);
       }
     } else {
       for (auto& p : batch) {
-        const bool r =
-            list.execute(ctx, p.request.first, p.request.second,
-                         MemClass::kCpuDram);
+        const bool r = list.execute(p.request.op, p.request.key, charge);
         p.slot->set(ctx, r);
       }
     }

@@ -1,9 +1,8 @@
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "sim/ds/skiplist_common.hpp"
+#include "core/skip_list.hpp"
 #include "sim/ds/skiplists.hpp"
 #include "sim/flat_combining.hpp"
 
@@ -15,11 +14,11 @@ RunResult run_fc_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
 
   // k independent flat-combining skip-lists, one combiner per partition
   // (Section 4.2: "k combiners are in charge of k partitions").
-  std::vector<std::unique_ptr<SimSkipList>> lists;
-  using Combiner = SimFlatCombiner<std::pair<SetOp, std::uint64_t>, bool>;
+  std::vector<std::unique_ptr<core::SkipList>> lists;
+  using Combiner = SimFlatCombiner<SetRequest, bool>;
   std::vector<std::unique_ptr<Combiner>> combiners;
   for (std::size_t i = 0; i < partitions; ++i) {
-    lists.push_back(std::make_unique<SimSkipList>(
+    lists.push_back(std::make_unique<core::SkipList>(
         partition_sentinel(i, cfg.key_range, partitions)));
     combiners.push_back(std::make_unique<Combiner>());
   }
@@ -27,7 +26,7 @@ RunResult run_fc_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
   std::size_t total_size = 0;
   while (total_size < cfg.initial_size) {
     const std::uint64_t key = setup.next_in(1, cfg.key_range);
-    SimSkipList& part = *lists[partition_of(key, cfg.key_range, partitions)];
+    core::SkipList& part = *lists[partition_of(key, cfg.key_range, partitions)];
     if (part.insert_for_setup(setup, key)) {
       record_setup_add(cfg.recorder, key);
       ++total_size;
@@ -44,7 +43,7 @@ RunResult run_fc_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
         const SetOp op = pick_op(ctx.rng(), cfg.mix);
         const std::uint64_t key = ctx.rng().next_in(1, cfg.key_range);
         const std::size_t p = partition_of(key, cfg.key_range, partitions);
-        SimSkipList& list = *lists[p];
+        core::SkipList& list = *lists[p];
         if (log != nullptr) log->begin(check_op(op), key, ctx.now());
         // No combining optimization for skip-lists (Section 4.2: distant
         // keys share no traversal prefix); the combiner executes requests
@@ -53,9 +52,9 @@ RunResult run_fc_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
             ctx, {op, key},
             [&list](Context& cctx, std::vector<Combiner::Pending>& batch) {
               for (auto& pending : batch) {
-                const bool res =
-                    list.execute(cctx, pending.request.first,
-                                 pending.request.second, MemClass::kCpuDram);
+                const bool res = list.execute(
+                    pending.request.op, pending.request.key, cctx.rng(),
+                    hop_charge(cctx, MemClass::kCpuDram));
                 pending.slot->set(cctx, res);
               }
             });

@@ -7,7 +7,7 @@ namespace pimds::sim {
 RunResult run_fine_grained_list(const ListConfig& cfg) {
   Engine engine(cfg.params, cfg.seed);
   engine.set_perturbation(cfg.perturb);
-  SimList list;
+  core::SortedList<> list;
   Xoshiro256 setup(cfg.seed ^ 0xabcdefULL);
   list.populate(setup, cfg.initial_size, cfg.key_range);
   record_setup_contents(cfg.recorder, list.keys());
@@ -26,7 +26,8 @@ RunResult run_fine_grained_list(const ListConfig& cfg) {
         // the model charges only the traversal itself; enter the scheduler
         // once per operation so actors interleave in virtual time.
         ctx.sync();
-        const bool r = list.execute(ctx, op, key, MemClass::kCpuDram);
+        const bool r =
+            list.execute(op, key, hop_charge(ctx, MemClass::kCpuDram));
         if (log != nullptr) {
           log->end(r ? check::kRetTrue : check::kRetFalse, ctx.now());
         }

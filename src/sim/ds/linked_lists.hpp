@@ -13,7 +13,7 @@
 // argues (and these runs confirm) are hidden once the PIM core is saturated.
 #pragma once
 
-#include "sim/ds/list_common.hpp"
+#include "core/sorted_list.hpp"
 #include "sim/workload.hpp"
 
 namespace pimds::sim {

@@ -1,6 +1,6 @@
 #include <string>
 
-#include "sim/ds/skiplist_common.hpp"
+#include "core/skip_list.hpp"
 #include "sim/ds/skiplists.hpp"
 
 namespace pimds::sim {
@@ -8,7 +8,7 @@ namespace pimds::sim {
 RunResult run_lockfree_skiplist(const SkipListConfig& cfg) {
   Engine engine(cfg.params, cfg.seed);
   engine.set_perturbation(cfg.perturb);
-  SimSkipList list(0);
+  core::SkipList list(0);
   Xoshiro256 setup(cfg.seed ^ 0x5eedULL);
   list.populate(setup, cfg.initial_size, 1, cfg.key_range);
   record_setup_contents(cfg.recorder, list.keys());
@@ -24,7 +24,8 @@ RunResult run_lockfree_skiplist(const SkipListConfig& cfg) {
         const std::uint64_t key = ctx.rng().next_in(1, cfg.key_range);
         if (log != nullptr) log->begin(check_op(op), key, ctx.now());
         ctx.sync();
-        const bool effect = list.execute(ctx, op, key, MemClass::kCpuDram);
+        const bool effect = list.execute(
+            op, key, ctx.rng(), hop_charge(ctx, MemClass::kCpuDram));
         if (log != nullptr) {
           log->end(effect ? check::kRetTrue : check::kRetFalse, ctx.now());
         }

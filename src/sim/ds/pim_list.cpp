@@ -1,5 +1,4 @@
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -23,7 +22,7 @@ struct ListMsg {
 RunResult run_pim_list(const ListConfig& cfg, bool combining) {
   Engine engine(cfg.params, cfg.seed);
   engine.set_perturbation(cfg.perturb);
-  SimList list;
+  core::SortedList<> list;
   Xoshiro256 setup(cfg.seed ^ 0xabcdefULL);
   list.populate(setup, cfg.initial_size, cfg.key_range);
   record_setup_contents(cfg.recorder, list.keys());
@@ -39,8 +38,9 @@ RunResult run_pim_list(const ListConfig& cfg, bool combining) {
   engine.spawn("pim-core", [&, combining](Context& ctx) {
     std::size_t stopped = 0;
     std::vector<ListMsg> batch;
-    std::vector<std::pair<SetOp, std::uint64_t>> requests;
+    std::vector<SetRequest> requests;
     std::vector<bool> results;
+    const auto charge = hop_charge(ctx, MemClass::kPimLocal);
     while (stopped < cfg.num_cpus) {
       ListMsg first = inbox.recv(ctx);
       if (first.stop) {
@@ -48,8 +48,7 @@ RunResult run_pim_list(const ListConfig& cfg, bool combining) {
         continue;
       }
       if (!combining) {
-        const bool r = list.execute(ctx, first.op, first.key,
-                                    MemClass::kPimLocal);
+        const bool r = list.execute(first.op, first.key, charge);
         // Respond asynchronously: the reply travels for Lmessage while the
         // core moves on (request pipelining, Section 5.2).
         first.reply->set(ctx, r, msg_ns);
@@ -70,7 +69,8 @@ RunResult run_pim_list(const ListConfig& cfg, bool combining) {
       }
       requests.clear();
       for (const ListMsg& m : batch) requests.push_back({m.op, m.key});
-      list.execute_combined(ctx, requests, results, MemClass::kPimLocal);
+      results.assign(batch.size(), false);
+      list.execute_batch(requests, results, charge);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         batch[i].reply->set(ctx, results[i], msg_ns);
       }

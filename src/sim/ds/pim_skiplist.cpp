@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "common/zipf.hpp"
+#include "core/skip_list.hpp"
 #include "obs/obs.hpp"
-#include "sim/ds/skiplist_common.hpp"
 #include "sim/ds/skiplists.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/sync.hpp"
@@ -33,10 +33,10 @@ RunResult run_pim_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
   engine.set_perturbation(cfg.perturb);
 
   // One vault (skip-list partition + mailbox + PIM core) per key range.
-  std::vector<std::unique_ptr<SimSkipList>> lists;
+  std::vector<std::unique_ptr<core::SkipList>> lists;
   std::vector<std::unique_ptr<Mailbox<SkipMsg>>> inboxes;
   for (std::size_t i = 0; i < partitions; ++i) {
-    lists.push_back(std::make_unique<SimSkipList>(
+    lists.push_back(std::make_unique<core::SkipList>(
         partition_sentinel(i, cfg.key_range, partitions)));
     inboxes.push_back(std::make_unique<Mailbox<SkipMsg>>());
   }
@@ -44,7 +44,7 @@ RunResult run_pim_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
   std::size_t total_size = 0;
   while (total_size < cfg.initial_size) {
     const std::uint64_t key = setup.next_in(1, cfg.key_range);
-    SimSkipList& part = *lists[partition_of(key, cfg.key_range, partitions)];
+    core::SkipList& part = *lists[partition_of(key, cfg.key_range, partitions)];
     if (part.insert_for_setup(setup, key)) {
       record_setup_add(cfg.recorder, key);
       ++total_size;
@@ -63,7 +63,7 @@ RunResult run_pim_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
   }
   for (std::size_t v = 0; v < partitions; ++v) {
     engine.spawn("pim-core" + std::to_string(v), [&, v](Context& ctx) {
-      SimSkipList& list = *lists[v];
+      core::SkipList& list = *lists[v];
       Mailbox<SkipMsg>& inbox = *inboxes[v];
       std::size_t stopped = 0;
       while (stopped < cfg.num_cpus) {
@@ -91,7 +91,8 @@ RunResult run_pim_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
           }
         }
         part_ops[v]->add(1);
-        const bool r = list.execute(ctx, m.op, m.key, MemClass::kPimLocal);
+        const bool r = list.execute(m.op, m.key, ctx.rng(),
+                                    hop_charge(ctx, MemClass::kPimLocal));
         // Asynchronous response (pipelining): the core serves the next
         // request while the reply is in flight.
         m.reply->set(ctx, r, msg_ns);

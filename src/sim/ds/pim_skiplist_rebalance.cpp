@@ -21,8 +21,8 @@
 #include <vector>
 
 #include "common/zipf.hpp"
+#include "core/skip_list.hpp"
 #include "obs/obs.hpp"
-#include "sim/ds/skiplist_common.hpp"
 #include "sim/ds/skiplists.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/sync.hpp"
@@ -96,7 +96,7 @@ struct Directory {
 
 struct SimVault {
   std::size_t id = 0;
-  std::unique_ptr<SimSkipList> list;
+  std::unique_ptr<core::SkipList> list;
   Mailbox<Msg> inbox;
   Migration mig;
   std::deque<Msg> deferred;
@@ -108,7 +108,7 @@ struct SimVault {
   std::map<std::uint64_t, std::uint64_t> owned;
   /// Target-side fingers: kMigNode keys arrive ascending, so inserts are
   /// amortized O(1) (the dual of the source's amortized extraction).
-  SimSkipList::InsertCursor incoming_cursor;
+  core::SkipList::InsertCursor incoming_cursor;
   std::uint64_t requests = 0;
 };
 
@@ -180,7 +180,7 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
     auto vault = std::make_unique<SimVault>();
     vault->id = v;
     // Global-minimum sentinel: migrations may hand any vault any range.
-    vault->list = std::make_unique<SimSkipList>(0);
+    vault->list = std::make_unique<core::SkipList>(0);
     vaults.push_back(std::move(vault));
   }
   for (std::size_t v = 0; v < k; ++v) {
@@ -220,7 +220,8 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
                                      const Msg& m) {
     ++vault.requests;
     load.record(vault.id, m.key);
-    const bool r = vault.list->execute(ctx, m.op, m.key, MemClass::kPimLocal);
+    const bool r = vault.list->execute(m.op, m.key, ctx.rng(),
+                                       hop_charge(ctx, MemClass::kPimLocal));
     if (r && m.op == SetOp::kAdd) ++net_adds;
     if (r && m.op == SetOp::kRemove) --net_adds;
     m.reply->set(ctx, Reply{true, r}, msg_ns);
@@ -252,7 +253,8 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
         vaults[mig.peer]->inbox.send(ctx, end);
         return true;
       }
-      vault.list->extract_first_at_least(ctx, mig.cursor, MemClass::kPimLocal);
+      vault.list->extract_first_at_least(
+          mig.cursor, hop_charge(ctx, MemClass::kPimLocal));
       ++result.migrated_keys;
       c_migrated.add(1);
       Msg node;
@@ -381,12 +383,13 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
           case Msg::Kind::kMigBegin:
             assert(!vault.mig.active);
             vault.mig = Migration{true, false, m.key, m.hi, m.peer, m.key};
-            vault.incoming_cursor = SimSkipList::InsertCursor{};
+            vault.incoming_cursor = core::SkipList::InsertCursor{};
             ctx.trace_instant("mig_begin", {"lo", m.key}, {"hi", m.hi});
             break;
           case Msg::Kind::kMigNode:
-            vault.list->insert_ascending(ctx, vault.incoming_cursor, m.key,
-                                         MemClass::kPimLocal);
+            vault.list->insert_ascending(
+                vault.incoming_cursor, m.key, ctx.rng(),
+                hop_charge(ctx, MemClass::kPimLocal));
             break;
           case Msg::Kind::kMigEnd: {
             assert(vault.mig.active && !vault.mig.outgoing);

@@ -7,6 +7,7 @@
 #include "check/history.hpp"
 #include "common/latency.hpp"
 #include "common/rng.hpp"
+#include "core/set_op.hpp"
 #include "sim/engine.hpp"
 
 namespace pimds::sim {
@@ -19,7 +20,14 @@ struct SetOpMix {
   double remove = 0.3;
 };
 
-enum class SetOp : std::uint8_t { kAdd, kRemove, kContains };
+using core::SetOp;
+using core::SetRequest;
+
+/// Hop-cost hook for the core structures (core/sorted_list.hpp,
+/// core/skip_list.hpp): charges `n` accesses of class `c` on `ctx`.
+inline auto hop_charge(Context& ctx, MemClass c) {
+  return [&ctx, c](std::uint64_t n) { ctx.charge(c, n); };
+}
 
 /// Draw the next operation for the given mix.
 SetOp pick_op(Xoshiro256& rng, const SetOpMix& mix);

@@ -51,7 +51,7 @@ TEST(PimLinkedList, DisjointRangesBehaveSequentiallyPerThread) {
   // Each thread owns a private key range, so its operations must have
   // exactly the sequential outcomes even under full concurrency.
   runtime::PimSystem system(small_config(1));
-  PimLinkedList list(system, {0, /*combining=*/true, 64});
+  PimLinkedList list(system);
   system.start();
   constexpr int kThreads = 4;
   std::atomic<int> failures{0};
@@ -87,17 +87,6 @@ TEST(PimLinkedList, DisjointRangesBehaveSequentiallyPerThread) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(list.max_observed_batch(), 1u)
       << "concurrent load should trigger combining";
-}
-
-TEST(PimLinkedList, NonCombiningModeIsAlsoCorrect) {
-  runtime::PimSystem system(small_config(1));
-  PimLinkedList list(system, {0, /*combining=*/false, 1});
-  system.start();
-  for (std::uint64_t k = 1; k <= 100; ++k) EXPECT_TRUE(list.add(k));
-  for (std::uint64_t k = 1; k <= 100; ++k) EXPECT_TRUE(list.contains(k));
-  for (std::uint64_t k = 1; k <= 100; ++k) EXPECT_TRUE(list.remove(k));
-  EXPECT_EQ(list.size(), 0u);
-  system.stop();
 }
 
 TEST(PimSkipList, MatchesStdSetSingleThreaded) {

@@ -1,7 +1,7 @@
 // Unit tests for the core/ building blocks used by the PIM structures:
 // the sentinel directory, the vault-local fat-node index, Algorithm 1's shared
-// vault handler, and the sequential structures behind the flat-combining
-// baselines.
+// vault handler, and the shared sorted list on heap and vault nodes (its
+// semantics and charge rule are in test_sim_structures).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,10 +10,10 @@
 #include <utility>
 #include <vector>
 
-#include "baselines/seq_structures.hpp"
 #include "common/rng.hpp"
 #include "core/queue_vault.hpp"
 #include "core/sentinel_directory.hpp"
+#include "core/sorted_list.hpp"
 #include "core/vault_index.hpp"
 #include "runtime/vault.hpp"
 
@@ -818,44 +818,53 @@ TEST(QueueVault, DequeuesPayForEachFatNodeTheyRead) {
                                     {21, empty()}}}));
 }
 
-TEST(SeqList, CursorBatchesEqualScratchExecution) {
-  baselines::SeqList with_cursor;
-  baselines::SeqList plain;
-  Xoshiro256 rng(21);
-  // Pre-populate identically.
-  for (std::uint64_t k = 2; k <= 100; k += 2) {
-    with_cursor.add(k);
-    plain.add(k);
-  }
-  // Ascending batch through the cursor API must equal one-by-one calls.
-  std::vector<std::uint64_t> keys;
-  for (int i = 0; i < 50; ++i) keys.push_back(rng.next_in(1, 120));
-  std::sort(keys.begin(), keys.end());
-  baselines::SeqList::Cursor cursor;
-  for (const std::uint64_t k : keys) {
-    EXPECT_EQ(with_cursor.add_from(&cursor, k), plain.add(k)) << k;
-  }
-  EXPECT_EQ(with_cursor.size(), plain.size());
-}
-
-TEST(SeqSkipList, MatchesStdSet) {
-  baselines::SeqSkipList list(0, 5);
-  std::set<std::uint64_t> reference;
-  Xoshiro256 rng(31);
-  for (int i = 0; i < 5000; ++i) {
-    const std::uint64_t key = rng.next_in(1, 400);
-    switch (rng.next_below(3)) {
-      case 0:
-        ASSERT_EQ(list.add(key), reference.insert(key).second);
-        break;
-      case 1:
-        ASSERT_EQ(list.remove(key), reference.erase(key) > 0);
-        break;
-      default:
-        ASSERT_EQ(list.contains(key), reference.count(key) > 0);
+TEST(SortedList, HeapAndVaultNodesRunTheSameStream) {
+  // One fixed op stream, single ops and sorted batches alike, on heap nodes
+  // and on vault nodes: the same results, keys and per-op hop counts, and
+  // every vault block the removes free goes back to the vault.
+  runtime::Vault vault(0, 1u << 20);
+  {
+    core::SortedList<> heap;
+    core::SortedList<runtime::Vault> in_vault(vault);
+    EXPECT_EQ(vault.live_blocks(), 1u);  // the dummy head
+    Xoshiro256 rng(41);
+    for (int round = 0; round < 400; ++round) {
+      std::uint64_t heap_hops = 0;
+      std::uint64_t vault_hops = 0;
+      const auto count_heap = [&](std::uint64_t n) { heap_hops += n; };
+      const auto count_vault = [&](std::uint64_t n) { vault_hops += n; };
+      if (round % 4 == 3) {
+        std::vector<core::SetRequest> batch(1 + rng.next_below(16));
+        for (auto& req : batch) {
+          req = {static_cast<core::SetOp>(rng.next_below(3)),
+                 rng.next_in(1, 300)};
+        }
+        std::vector<bool> heap_results(batch.size());
+        std::vector<bool> vault_results(batch.size());
+        heap.execute_batch(batch, heap_results, count_heap);
+        in_vault.execute_batch(batch, vault_results, count_vault);
+        ASSERT_EQ(heap_results, vault_results) << "round " << round;
+      } else {
+        const auto op = static_cast<core::SetOp>(rng.next_below(3));
+        const std::uint64_t key = rng.next_in(1, 300);
+        ASSERT_EQ(heap.execute(op, key, count_heap),
+                  in_vault.execute(op, key, count_vault))
+            << "round " << round;
+      }
+      ASSERT_EQ(heap_hops, vault_hops) << "round " << round;
+      ASSERT_EQ(heap.keys(), in_vault.keys()) << "round " << round;
     }
+    ASSERT_GT(in_vault.size(), 0u);
+    EXPECT_EQ(vault.live_blocks(), 1 + in_vault.size());
+    const auto none = [](std::uint64_t) {};
+    for (const std::uint64_t key : heap.keys()) {
+      ASSERT_TRUE(heap.execute(core::SetOp::kRemove, key, none));
+      ASSERT_TRUE(in_vault.execute(core::SetOp::kRemove, key, none));
+    }
+    EXPECT_EQ(in_vault.size(), 0u);
+    EXPECT_EQ(vault.live_blocks(), 1u);
   }
-  EXPECT_EQ(list.size(), reference.size());
+  EXPECT_EQ(vault.live_blocks(), 0u);
 }
 
 }  // namespace

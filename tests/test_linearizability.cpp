@@ -336,7 +336,7 @@ TEST(CheckedSetHistories, PimLinkedListIsLinearizable) {
   runtime::PimSystem::Config config;
   config.num_vaults = 1;
   runtime::PimSystem system(config);
-  core::PimLinkedList list(system, {0, /*combining=*/true, 64});
+  core::PimLinkedList list(system);
   system.start();
   expect_set_linearizable(list);
   system.stop();

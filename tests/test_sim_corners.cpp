@@ -112,14 +112,14 @@ TEST(Equilibrium, BalancedMixKeepsSetNearHalfTheKeyRange) {
     cfg.duration_ns = 400'000'000;  // long run so the size can drift
     // Use the fastest list so many operations happen.
     Engine engine(cfg.params, cfg.seed);
-    SimList list;
+    core::SortedList<> list;
     Xoshiro256 setup(cfg.seed);
     list.populate(setup, cfg.initial_size, cfg.key_range);
     engine.spawn("driver", [&](Context& ctx) {
       for (int i = 0; i < 60000; ++i) {
         const SetOp op = pick_op(ctx.rng(), cfg.mix);
-        list.execute(ctx, op, ctx.rng().next_in(1, cfg.key_range),
-                     MemClass::kLlc);
+        list.execute(op, ctx.rng().next_in(1, cfg.key_range),
+                     hop_charge(ctx, MemClass::kLlc));
       }
     });
     engine.run();

@@ -2,8 +2,11 @@
 // Section 5.1 fat-node enqueue combining.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "core/skip_list.hpp"
 #include "sim/ds/queues.hpp"
-#include "sim/ds/skiplist_common.hpp"
 #include "sim/ds/skiplists.hpp"
 #include "sim_test_util.hpp"
 
@@ -200,47 +203,79 @@ TEST(ActiveRebalanceMutation, SplitOffByOneIsFlaggedByImbalance) {
 }
 
 TEST(InsertCursor, AscendingInsertsMatchRegularInserts) {
-  Engine engine;
-  engine.spawn("t", [](Context& ctx) {
-    SimSkipList via_cursor(0);
-    SimSkipList regular(0);
-    SimSkipList::InsertCursor cursor;
-    Xoshiro256 rng(5);
-    std::vector<std::uint64_t> keys;
-    for (int i = 0; i < 500; ++i) keys.push_back(rng.next_in(1, 2000));
-    std::sort(keys.begin(), keys.end());
-    for (const std::uint64_t k : keys) {
-      const bool a = via_cursor.insert_ascending(ctx, cursor, k,
-                                                 MemClass::kPimLocal);
-      const bool b = regular.execute(ctx, SetOp::kAdd, k,
-                                     MemClass::kPimLocal);
-      ASSERT_EQ(a, b) << k;
-    }
-    ASSERT_EQ(via_cursor.keys(), regular.keys());
-  });
-  engine.run();
+  core::SkipList via_cursor(0);
+  core::SkipList regular(0);
+  core::SkipList::InsertCursor cursor;
+  Xoshiro256 rng(5);
+  Xoshiro256 towers(6);
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < 500; ++i) keys.push_back(rng.next_in(1, 2000));
+  std::sort(keys.begin(), keys.end());
+  std::uint64_t cursor_hops = 0;
+  std::uint64_t search_hops = 0;
+  for (const std::uint64_t k : keys) {
+    const bool a = via_cursor.insert_ascending(
+        cursor, k, towers, [&](std::uint64_t n) { cursor_hops += n; });
+    const bool b = regular.execute(SetOp::kAdd, k, towers,
+                                   [&](std::uint64_t n) { search_hops += n; });
+    ASSERT_EQ(a, b) << k;
+  }
+  ASSERT_EQ(via_cursor.keys(), regular.keys());
+  // The fingers amortize the search: far below a full search per key even
+  // though the cursor also pays every tower link.
+  EXPECT_LT(cursor_hops * 2, search_hops);
 }
 
 TEST(InsertCursor, SurvivesInterleavedMutations) {
-  Engine engine;
-  engine.spawn("t", [](Context& ctx) {
-    SimSkipList list(0);
-    SimSkipList::InsertCursor cursor;
-    // Ascending inserts with unrelated mutations in between (which
-    // invalidate the fingers and force a re-seed).
-    for (std::uint64_t k = 10; k <= 500; k += 10) {
-      ASSERT_TRUE(list.insert_ascending(ctx, cursor, k, MemClass::kPimLocal));
-      if (k % 50 == 0) {
-        list.execute(ctx, SetOp::kAdd, k + 5, MemClass::kPimLocal);
-        list.execute(ctx, SetOp::kRemove, k - 10, MemClass::kPimLocal);
-      }
+  core::SkipList list(0);
+  core::SkipList::InsertCursor cursor;
+  Xoshiro256 towers(7);
+  const auto free = [](std::uint64_t) {};
+  // Ascending inserts with unrelated mutations in between (which
+  // invalidate the fingers and force a re-seed).
+  for (std::uint64_t k = 10; k <= 500; k += 10) {
+    ASSERT_TRUE(list.insert_ascending(cursor, k, towers, free));
+    if (k % 50 == 0) {
+      list.execute(SetOp::kAdd, k + 5, towers, free);
+      list.execute(SetOp::kRemove, k - 10, towers, free);
     }
-    // Spot-check membership.
-    EXPECT_TRUE(list.execute(ctx, SetOp::kContains, 500, MemClass::kPimLocal));
-    EXPECT_FALSE(list.execute(ctx, SetOp::kContains, 40, MemClass::kPimLocal));
-    EXPECT_TRUE(list.execute(ctx, SetOp::kContains, 55, MemClass::kPimLocal));
-  });
-  engine.run();
+  }
+  // Spot-check membership.
+  EXPECT_TRUE(list.execute(SetOp::kContains, 500, towers, free));
+  EXPECT_FALSE(list.execute(SetOp::kContains, 40, towers, free));
+  EXPECT_TRUE(list.execute(SetOp::kContains, 55, towers, free));
+}
+
+TEST(SkipListExtract, DrainsAscendingAtTwoAccessesPerKey) {
+  // The migration source's sweep: each extraction charges a flat 2, an
+  // empty tail charges nothing, and the target's ascending re-insert
+  // rebuilds the same set.
+  core::SkipList source(0);
+  core::SkipList target(0);
+  core::SkipList::InsertCursor cursor;
+  Xoshiro256 rng(9);
+  source.populate(rng, 300, 1, 5000);
+  const std::vector<std::uint64_t> before = source.keys();
+  std::uint64_t hops = 0;
+  std::uint64_t extracted = 0;
+  std::uint64_t from = 2000;
+  while (const auto key = source.extract_first_at_least(
+             from, [&](std::uint64_t n) { hops += n; })) {
+    ASSERT_GE(*key, from);
+    ASSERT_NE(source.first_at_least(*key), key) << "extracted key is gone";
+    ASSERT_TRUE(target.insert_ascending(cursor, *key, rng,
+                                        [](std::uint64_t) {}));
+    from = *key + 1;
+    ++extracted;
+  }
+  EXPECT_EQ(hops, 2 * extracted);
+  EXPECT_FALSE(source.first_at_least(from).has_value());
+  std::vector<std::uint64_t> merged = source.keys();
+  const std::vector<std::uint64_t> moved = target.keys();
+  EXPECT_EQ(moved.size(), extracted);
+  for (const std::uint64_t k : source.keys()) EXPECT_LT(k, 2000u);
+  merged.insert(merged.end(), moved.begin(), moved.end());
+  EXPECT_EQ(merged, before);
 }
 
 TEST(FatNodeCombining, SpeedsUpTheEnqueueSide) {
