@@ -224,7 +224,8 @@ void BM_VaultIndexContains(benchmark::State& state) {
   std::uint64_t reads = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        index->contains(1 + rng.next_below(1u << 16), &reads));
+        index->contains(1 + rng.next_below(1u << 16),
+                        [&reads](std::uint64_t n) { reads += n; }));
   }
   state.counters["reads_per_op"] = static_cast<double>(reads) /
                                    static_cast<double>(state.iterations());

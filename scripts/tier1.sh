@@ -157,7 +157,8 @@ if [[ "$skip_asan" == 0 ]]; then
   cmake --build build-asan -j --target test_reclaim test_baselines \
     test_mpmc_ebr soak_reclamation test_core_units test_extensions \
     test_core_structures test_mailbox_batch test_sim_structures \
-    test_sim_rebalance
+    test_sim_rebalance test_checker_mutation test_schedule_explore \
+    test_sentinel_refresh
   # LSan runs at exit by default under ASan: any node a policy drops on the
   # floor (or frees twice) fails here even if no test assertion notices.
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_reclaim
@@ -174,6 +175,12 @@ if [[ "$skip_asan" == 0 ]]; then
   # drives extraction and ascending inserts through the migration runs.
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_sim_structures
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_sim_rebalance
+  # The shared Section 4.2.1 vault handler (core/skip_list_vault.hpp): its
+  # extraction, ascending inserts and deferred queues under the migration
+  # mutants and the explorer (simulator) and live migrations (runtime).
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_checker_mutation
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_schedule_explore
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_sentinel_refresh
   # Cap the malloc quarantine: its default (256 MB) parks freed churn nodes
   # in RSS and would trip the soak's leak ceiling without any actual leak.
   ASAN_OPTIONS="halt_on_error=1:quarantine_size_mb=32" \

@@ -8,20 +8,22 @@
 // (keys not yet migrated are served locally, already-migrated keys are
 // forwarded to the target), the directory is updated when the hand-over
 // completes, and stale requests are rejected so the CPU re-routes. Each
-// vault keeps its keys in a fat-node VaultIndex (core/vault_index.hpp)
-// windowed over [key_min, key_max], so an operation's beta is the height of
-// its key's window tree rather than a skip-list search.
+// core runs that protocol through the shared core::SkipListVault
+// (core/skip_list_vault.hpp); this class is the CPU side and the runtime's
+// message decoding. Each vault keeps its keys in a fat-node VaultIndex
+// (core/vault_index.hpp) windowed over [key_min, key_max], so an
+// operation's beta is the height of its key's window tree rather than a
+// skip-list search.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "common/cacheline.hpp"
 #include "core/sentinel_directory.hpp"
+#include "core/skip_list_vault.hpp"
 #include "core/vault_index.hpp"
 #include "obs/loadmap.hpp"
 #include "runtime/combiner.hpp"
@@ -63,7 +65,7 @@ class PimSkipList {
   /// Racy per-vault statistics (request counts drive rebalancing policy).
   struct VaultStats {
     std::uint64_t keys = 0;
-    std::uint64_t requests = 0;
+    std::uint64_t requests = 0;  ///< ops executed: each op counts once
   };
   std::vector<VaultStats> vault_stats() const;
 
@@ -79,19 +81,17 @@ class PimSkipList {
   /// Cumulative keys handed over by migrations (one per kMigNode sent).
   /// The auto-rebalancer exports the windowed delta as
   /// `rebalancer.migrated_keys`.
-  std::uint64_t migrated_keys() const noexcept {
-    return migrated_keys_.value.load(std::memory_order_relaxed);
-  }
+  std::uint64_t migrated_keys() const noexcept;
 
   /// Contention-adaptive combining (keyed off the same LoadMap grid the
   /// rebalancer reads): ops whose key falls in a flagged range bucket are
   /// published to the owning vault's RequestCombiner and travel as one fat
   /// kOpBatch message; unflagged ranges keep the one-message-per-op direct
   /// path. The vault decodes each batch entry back into a plain op and runs
-  /// it through the normal execute/forward/defer/reject gate, so migration
-  /// semantics (and the CPU's reject-retry loop) are unchanged — a batch
-  /// routed on a stale directory read simply gets its member ops rejected
-  /// individually.
+  /// it through SkipListVault's execute/forward/defer/reject gate, so
+  /// migration semantics (and the CPU's reject-retry loop) are unchanged — a
+  /// batch routed on a stale directory read simply gets its member ops
+  /// rejected individually.
   void set_range_combining(std::size_t range_idx, bool on) noexcept {
     if (range_idx < loadmap_.options().num_ranges) {
       combine_range_[range_idx].store(on ? 1 : 0, std::memory_order_relaxed);
@@ -100,13 +100,6 @@ class PimSkipList {
   bool range_combining(std::uint64_t key) const noexcept {
     return combine_range_[loadmap_.range_of(key)].load(
                std::memory_order_relaxed) != 0;
-  }
-  std::size_t combining_ranges() const noexcept {
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < loadmap_.options().num_ranges; ++i) {
-      n += combine_range_[i].load(std::memory_order_relaxed) != 0;
-    }
-    return n;
   }
   /// Fat batches shipped / ops carried by them, summed over vault combiners.
   std::uint64_t combined_batches() const noexcept;
@@ -118,78 +111,29 @@ class PimSkipList {
 
  private:
   enum Kind : std::uint32_t {
-    kAdd = 1,
-    kRemove = 2,
-    kContains = 3,
-    kMigStart = 4,  ///< CPU -> source: begin migration (key=split, value=hi)
-    kMigBegin = 5,  ///< source -> target: incoming range announcement
-    kMigNode = 6,   ///< source -> target: one migrated key
-    kMigEnd = 7,    ///< source -> target: hand-over complete
-    kFwdAdd = 8,    ///< source -> target: forwarded operations
-    kFwdRemove = 9,
-    kFwdContains = 10,
-    kOpBatch = 11,  ///< CPU -> vault: combined fat batch of direct ops
+    kOp = 1,        ///< CPU -> vault: one op (value = SetOp)
+    kOpBatch = 2,   ///< CPU -> vault: combined fat batch of ops
+    kMigStart = 3,  ///< CPU -> source: key = split, value = hi, sender = to
+    kSignal = 4,    ///< vault -> vault: kSignal + SkipListSignal::Kind
   };
 
-  struct OpReply {
-    bool accepted = false;
-    bool result = false;
-  };
+  using Requester = runtime::ResponseSlot<SkipListReply>*;
+  using Vault = SkipListVault<VaultIndex, Requester>;
+  struct VaultCtx;
 
-  struct Migration {
-    bool active = false;
-    bool outgoing = false;
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-    std::size_t peer = 0;
-    std::uint64_t cursor = 0;  ///< next key to migrate (ascending)
-  };
-
-  struct VaultState {
-    std::unique_ptr<VaultIndex> list;
-    Migration mig;
-    /// Target-side fingers: kMigNode keys arrive ascending, so inserts are
-    /// amortized O(1) (dual of the source's amortized extraction).
-    VaultIndex::InsertCursor incoming_cursor;
-    /// Direct requests for an incoming range, deferred until kMigEnd so
-    /// they cannot overtake in-flight kMigNode messages.
-    std::deque<runtime::Message> deferred;
-    /// This core's OWN view of the ranges it serves (lo -> hi, exclusive),
-    /// advanced only by events this core has already processed: its own
-    /// hand-over completion removes a range, processing kMigEnd adds one.
-    /// The execute/reject decision must consult this view and never the
-    /// shared directory: the source updates the directory before the target
-    /// has processed the granting kMigBegin/kMigNode/kMigEnd stream, so a
-    /// request already queued ahead of that stream would pass a directory
-    /// check and be answered from a list missing the in-flight nodes.
-    std::map<std::uint64_t, std::uint64_t> owned;
-    CachePadded<std::atomic<std::uint64_t>> requests{0};
-    CachePadded<std::atomic<std::uint64_t>> keys{0};
-  };
-
-  void handle(runtime::PimCoreApi& api, const runtime::Message& m);
-  void handle_op(runtime::PimCoreApi& api, const runtime::Message& m,
-                 bool forwarded);
-  void execute_and_reply(runtime::PimCoreApi& api, const runtime::Message& m);
-  /// Move up to migrate_chunk nodes; finishes the migration when drained.
-  bool step_migration(runtime::PimCoreApi& api);
-  bool submit(Kind kind, std::uint64_t key);
-  static bool owns_locally(const VaultState& vs, std::uint64_t key);
-  static Kind forward_kind(std::uint32_t op) {
-    return static_cast<Kind>(op + 7);  // kAdd->kFwdAdd etc.
-  }
+  void handle(VaultCtx& ctx, const runtime::Message& m);
+  bool submit(SetOp op, std::uint64_t key);
 
   runtime::PimSystem& system_;
   Options options_;
   SentinelDirectory directory_;
   obs::LoadMap loadmap_;
-  std::vector<std::unique_ptr<VaultState>> vaults_;
+  std::vector<std::unique_ptr<Vault>> vaults_;
   /// One combiner per destination vault (combining is per crossbar link).
   std::vector<std::unique_ptr<runtime::RequestCombiner>> combiners_;
   /// LoadMap range grid -> combine flag; written by the rebalancer thread,
   /// read on every submit().
   std::unique_ptr<std::atomic<std::uint8_t>[]> combine_range_;
-  CachePadded<std::atomic<std::uint64_t>> migrated_keys_{0};
   CachePadded<std::atomic<bool>> migration_busy_{false};
 };
 

@@ -35,12 +35,25 @@ class SentinelDirectory {
     assert(!entries_.empty());
   }
 
+  /// [key_min, key_max] split into `vaults` equal ranges, range v on
+  /// vault v: the initial layout (Section 4.2).
+  static std::vector<Entry> equal_ranges(std::uint64_t key_min,
+                                         std::uint64_t key_max,
+                                         std::size_t vaults) {
+    const std::uint64_t span = key_max - key_min + 1;
+    std::vector<Entry> entries;
+    for (std::size_t v = 0; v < vaults; ++v) {
+      entries.push_back({key_min + v * span / vaults, v});
+    }
+    return entries;
+  }
+
   /// Vault owning `key` (greatest sentinel <= key). The hot read path:
   /// sentinels are few and CPU-cached, so a shared lock + binary search
   /// stands in for the paper's cached sentinel lookup.
   std::size_t route(std::uint64_t key) const {
     std::shared_lock lock(mutex_);
-    return locate_unlocked(key).vault;
+    return locate_unlocked(key)->vault;
   }
 
   /// [sentinel, end) of the partition containing `key`; `end` is the next
@@ -52,7 +65,7 @@ class SentinelDirectory {
   };
   Range partition_of(std::uint64_t key) const {
     std::shared_lock lock(mutex_);
-    const auto it = locate_iter_unlocked(key);
+    const auto it = locate_unlocked(key);
     const std::uint64_t hi = (it + 1) == entries_.end()
                                  ? ~std::uint64_t{0}
                                  : (it + 1)->sentinel;
@@ -70,7 +83,8 @@ class SentinelDirectory {
   /// source core when every node has been handed over (Section 4.2.1).
   void move_range(std::uint64_t split_key, std::size_t new_vault) {
     std::unique_lock lock(mutex_);
-    auto it = locate_iter_unlocked(split_key);
+    const auto it =
+        entries_.begin() + (locate_unlocked(split_key) - entries_.cbegin());
     if (it->sentinel == split_key) {
       it->vault = new_vault;
       // Merge with an identical-vault predecessor is possible but kept:
@@ -86,21 +100,8 @@ class SentinelDirectory {
   }
 
  private:
-  const Entry& locate_unlocked(std::uint64_t key) const {
-    return *locate_iter_unlocked(key);
-  }
-
-  std::vector<Entry>::const_iterator locate_iter_unlocked(
+  std::vector<Entry>::const_iterator locate_unlocked(
       std::uint64_t key) const {
-    auto it = std::upper_bound(entries_.begin(), entries_.end(), key,
-                               [](std::uint64_t k, const Entry& e) {
-                                 return k < e.sentinel;
-                               });
-    assert(it != entries_.begin() && "key below the first sentinel");
-    return it - 1;
-  }
-
-  std::vector<Entry>::iterator locate_iter_unlocked(std::uint64_t key) {
     auto it = std::upper_bound(entries_.begin(), entries_.end(), key,
                                [](std::uint64_t k, const Entry& e) {
                                  return k < e.sentinel;

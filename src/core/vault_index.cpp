@@ -250,32 +250,10 @@ int VaultIndex::next_leaf(Path& path, std::uint64_t& reads) const {
   return fork;
 }
 
-bool VaultIndex::add(std::uint64_t key, std::uint64_t* steps) {
-  Path path;
-  std::uint64_t count = descend(key, path);
-  const bool inserted = insert_at(path, key, count);
-  if (steps != nullptr) *steps += count;
-  return inserted;
-}
-
-bool VaultIndex::remove(std::uint64_t key, std::uint64_t* steps) {
-  Path path;
-  std::uint64_t reads = descend(key, path);
+int VaultIndex::find(const Path& path, std::uint64_t key) const {
   const Node* leaf = path.node[height_[path.window] - 1];
   const int pos = seek(leaf, key);
-  const bool found = pos < leaf->count && leaf->key[pos] == key;
-  if (found) erase_at(path, pos, path, reads);
-  if (steps != nullptr) *steps += reads;
-  return found;
-}
-
-bool VaultIndex::contains(std::uint64_t key, std::uint64_t* steps) const {
-  Path path;
-  const std::uint64_t reads = descend(key, path);
-  if (steps != nullptr) *steps += reads;
-  const Node* leaf = path.node[height_[path.window] - 1];
-  const int pos = seek(leaf, key);
-  return pos < leaf->count && leaf->key[pos] == key;
+  return pos < leaf->count && leaf->key[pos] == key ? pos : -1;
 }
 
 std::optional<std::uint64_t> VaultIndex::first_at_least(
@@ -291,10 +269,9 @@ std::optional<std::uint64_t> VaultIndex::first_at_least(
   }
 }
 
-std::optional<std::uint64_t> VaultIndex::extract_first_at_least(
-    std::uint64_t key, std::uint64_t* steps) {
+std::optional<std::uint64_t> VaultIndex::extract_at_least(
+    std::uint64_t key, std::uint64_t& reads) {
   Finger& f = extract_finger_;
-  std::uint64_t reads = 0;
   for (;;) {
     reads += hold(f, key);
     const std::uint32_t w = f.path.window;
@@ -327,28 +304,11 @@ std::optional<std::uint64_t> VaultIndex::extract_first_at_least(
           f.lo = out + 1;  // no key lies between `out` and the next leaf
         }
       }
-      if (steps != nullptr) *steps += reads;
       return out;
     }
-    if (!f.has_hi) {
-      if (steps != nullptr) *steps += reads;
-      return std::nullopt;
-    }
+    if (!f.has_hi) return std::nullopt;
     key = f.hi;
   }
-}
-
-bool VaultIndex::insert_ascending(InsertCursor& cursor, std::uint64_t key,
-                                  std::uint64_t* steps) {
-  Finger& f = cursor.finger_;
-  const std::uint64_t reads = hold(f, key);
-  std::uint64_t count = reads;
-  const bool inserted = insert_at(f.path, key, count);
-  // A split moved the leaf's range; the path followed the key through it.
-  if (count != reads) bound(f);
-  f.epoch = mutation_epoch_;  // our own insert keeps the finger
-  if (steps != nullptr) *steps += count;
-  return inserted;
 }
 
 }  // namespace pimds::core

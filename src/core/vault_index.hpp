@@ -43,17 +43,18 @@
 //   the next separator on its path, and off a window's last leaf to the
 //   next window's root.
 //
-// Charge rule (the paper's beta, reported through `steps` so the caller
-// charges one Lpim per unit): one access per node read, plus one per node a
-// split creates (a root split creates two). Writes to nodes already read
-// on the path are not charged; a collapse reads the child it copies, so it
-// pays one access when that child is not already on the path. A finger
-// (InsertCursor, or the extraction finger behind extract_first_at_least)
-// that still holds its leaf reads nothing new. An ascending insert sweep
-// pays for the leaves its splits create, and an extraction sweep steps
-// from a drained leaf to the next one along its path (about one read per
-// leaf), so both pay about one access per leaf, not per key, plus one
-// root read per window they enter.
+// Charge rule (the paper's beta). Each charged operation takes the hop-cost
+// hook `charge(n)` of the other sequential cores (core/skip_list.hpp, DESIGN
+// §5j) and calls it once with its access count, which the caller turns into
+// n Lpim: one access per node read, plus one per node a split creates (a
+// root split creates two). Writes to nodes already read on the path are not
+// charged; a collapse reads the child it copies, so it pays one access when
+// that child is not already on the path. A finger (InsertCursor, or the
+// extraction finger behind extract_first_at_least) that still holds its
+// leaf reads nothing new. An ascending insert sweep pays for the leaves its
+// splits create, and an extraction sweep steps from a drained leaf to the
+// next one along its path (about one read per leaf), so both pay about one
+// access per leaf, not per key, plus one root read per window they enter.
 #pragma once
 
 #include <cstddef>
@@ -61,9 +62,15 @@
 #include <optional>
 #include <vector>
 
+#include "core/set_op.hpp"
 #include "runtime/vault.hpp"
 
 namespace pimds::core {
+
+/// Hop-cost hook that charges nothing (uncharged callers and tests).
+struct NoCharge {
+  constexpr void operator()(std::uint64_t) const noexcept {}
+};
 
 class VaultIndex {
  public:
@@ -108,11 +115,38 @@ class VaultIndex {
   VaultIndex(const VaultIndex&) = delete;
   VaultIndex& operator=(const VaultIndex&) = delete;
 
-  /// `steps`, when non-null, accumulates the charged node accesses (see the
-  /// charge rule above).
-  bool add(std::uint64_t key, std::uint64_t* steps = nullptr);
-  bool remove(std::uint64_t key, std::uint64_t* steps = nullptr);
-  bool contains(std::uint64_t key, std::uint64_t* steps = nullptr) const;
+  /// Each charged call passes its node accesses to `charge(n)` once (see
+  /// the charge rule above).
+  template <typename Charge = NoCharge>
+  bool add(std::uint64_t key, Charge&& charge = {}) {
+    Path path;
+    std::uint64_t count = descend(key, path);
+    const bool inserted = insert_at(path, key, count);
+    charge(count);
+    return inserted;
+  }
+  template <typename Charge = NoCharge>
+  bool remove(std::uint64_t key, Charge&& charge = {}) {
+    Path path;
+    std::uint64_t reads = descend(key, path);
+    const int pos = find(path, key);
+    if (pos >= 0) erase_at(path, pos, path, reads);
+    charge(reads);
+    return pos >= 0;
+  }
+  template <typename Charge = NoCharge>
+  bool contains(std::uint64_t key, Charge&& charge = {}) const {
+    Path path;
+    charge(descend(key, path));
+    return find(path, key) >= 0;
+  }
+  /// One set operation (core::SkipList's shape, without the tower RNG).
+  template <typename Charge>
+  bool execute(SetOp op, std::uint64_t key, Charge&& charge) {
+    if (op == SetOp::kAdd) return add(key, charge);
+    if (op == SetOp::kRemove) return remove(key, charge);
+    return contains(key, charge);
+  }
 
   /// Smallest key >= `key`, if any (migration cursor scans, Section 4.2.1).
   std::optional<std::uint64_t> first_at_least(std::uint64_t key) const;
@@ -120,8 +154,14 @@ class VaultIndex {
   /// Remove and return the smallest key >= `key`. An internal finger holds
   /// the leaf of the previous extraction, so an ascending sweep pays about
   /// one read per leaf it drains.
-  std::optional<std::uint64_t> extract_first_at_least(
-      std::uint64_t key, std::uint64_t* steps = nullptr);
+  template <typename Charge = NoCharge>
+  std::optional<std::uint64_t> extract_first_at_least(std::uint64_t key,
+                                                      Charge&& charge = {}) {
+    std::uint64_t reads = 0;
+    const std::optional<std::uint64_t> out = extract_at_least(key, reads);
+    charge(reads);
+    return out;
+  }
 
   /// Finger for ascending bulk inserts, the migration target's dual of
   /// extract_first_at_least. Self-invalidates when any other operation
@@ -136,8 +176,19 @@ class VaultIndex {
   };
 
   /// Insert `key` (>= every key previously inserted through `cursor`).
+  template <typename Charge = NoCharge>
   bool insert_ascending(InsertCursor& cursor, std::uint64_t key,
-                        std::uint64_t* steps = nullptr);
+                        Charge&& charge = {}) {
+    Finger& f = cursor.finger_;
+    const std::uint64_t reads = hold(f, key);
+    std::uint64_t count = reads;
+    const bool inserted = insert_at(f.path, key, count);
+    // A split moved the leaf's range; the path followed the key through it.
+    if (count != reads) bound(f);
+    f.epoch = mutation_epoch_;  // our own insert keeps the finger
+    charge(count);
+    return inserted;
+  }
 
   std::size_t size() const noexcept { return size_; }
   /// Levels from `key`'s window root to its leaves: what a contains(key)
@@ -168,6 +219,10 @@ class VaultIndex {
   };
   static_assert(sizeof(Node) == kNodeBytes, "a node is one vault block");
 
+  /// extract_first_at_least's work; sets the accesses it charges.
+  std::optional<std::uint64_t> extract_at_least(std::uint64_t key,
+                                                std::uint64_t& reads);
+
   Node* make_node(bool leaf);
   Node* child(const Node* inner, int slot) const {
     return static_cast<Node*>(vault_.at_offset(inner->in.child[slot]));
@@ -178,6 +233,8 @@ class VaultIndex {
   Node* root(std::uint32_t window) const noexcept { return roots_ + window; }
   /// First slot of `leaf` holding a key >= `key` (its count if none).
   static int seek(const Node* leaf, std::uint64_t key);
+  /// Slot of `key` in the path's leaf, or -1.
+  int find(const Path& path, std::uint64_t key) const;
 
   /// Fill `path` toward `key`; returns the node reads (the height).
   std::uint64_t descend(std::uint64_t key, Path& path) const;

@@ -1,27 +1,23 @@
 // Simulated PIM skip-list with the full Section 4.2.1 node-migration
 // protocol, driven by a Zipf-skewed workload and an online rebalancer.
 //
-// Protocol fidelity mirrors core/pim_skiplist.cpp:
-//  - the migration source serves not-yet-migrated keys locally and
-//    forwards already-migrated keys to the target on the same channel as
-//    the kMigNode stream (per-channel FIFO makes the forward safe);
-//  - the target defers direct requests for the incoming range until
-//    kMigEnd, so they cannot overtake in-flight kMigNode messages;
-//  - the source updates the CPU-visible directory BEFORE sending kMigEnd
-//    (the paper notifies the CPUs first), so a post-migration request at
-//    the source is simply rejected and re-routed.
+// The vault side is core::SkipListVault (core/skip_list_vault.hpp), the
+// code the runtime skip list runs, over the paper's one-key core::SkipList;
+// this host decodes its messages, routes CPUs through a
+// core::SentinelDirectory, and runs the window monitor and the oracle and
+// active rebalancing policies. RebalanceFault's protocol mutants are the
+// handler's Fault hook (MigrationFault below); kThrash and kSplitOffByOne
+// are policy mutants and live in the active policy.
 #include <algorithm>
-#include <cassert>
-#include <deque>
-#include <iterator>
-#include <map>
+#include <array>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/zipf.hpp"
+#include "core/sentinel_directory.hpp"
 #include "core/skip_list.hpp"
+#include "core/skip_list_vault.hpp"
 #include "obs/obs.hpp"
 #include "sim/ds/skiplists.hpp"
 #include "sim/mailbox.hpp"
@@ -31,85 +27,74 @@ namespace pimds::sim {
 
 namespace {
 
-struct Reply {
-  bool accepted = false;
-  bool result = false;
+using core::SkipListReply;
+using Slot = SimSlot<SkipListReply>;
+
+/// The paper's one-key skip list as a SkipListVault index: its towers draw
+/// from the vault core's RNG, bound when the core's actor starts. The
+/// global-minimum sentinel lets migrations hand any vault any range.
+struct TowerIndex : core::SkipList {
+  TowerIndex() : core::SkipList(0) {}
+
+  template <typename Charge>
+  bool execute(SetOp op, std::uint64_t key, Charge&& charge) {
+    return core::SkipList::execute(op, key, *rng, charge);
+  }
+  template <typename Charge>
+  bool insert_ascending(InsertCursor& cursor, std::uint64_t key,
+                        Charge&& charge) {
+    return core::SkipList::insert_ascending(cursor, key, *rng, charge);
+  }
+
+  Xoshiro256* rng = nullptr;
 };
 
+/// RebalanceFault's protocol mutants as SkipListVault's Fault hook.
+struct MigrationFault {
+  RebalanceFault kind = RebalanceFault::kNone;
+  const core::SentinelDirectory* directory = nullptr;
+
+  bool serve_moved() const noexcept {
+    return kind == RebalanceFault::kStaleServe;
+  }
+  bool serve_incoming() const noexcept {
+    return kind == RebalanceFault::kNoDefer;
+  }
+  bool directory_grants(std::size_t self, std::uint64_t key) const {
+    return kind == RebalanceFault::kDirectoryBeforeGrant &&
+           directory->route(key) == self;
+  }
+  /// kNoDefer: the notify-first reading of Section 4.2.1, which makes the
+  /// missing defer reachable (with the completion-time publish, the FIFO
+  /// mailbox lets no direct request overtake the last node).
+  /// kDirectoryBeforeGrant: recreates the runtime's lane overtake under
+  /// this simulator's in-order delivery.
+  bool publish_at_start() const noexcept {
+    return kind == RebalanceFault::kNoDefer ||
+           kind == RebalanceFault::kDirectoryBeforeGrant;
+  }
+};
+
+using Handler = core::SkipListVault<TowerIndex, Slot*, MigrationFault>;
+using Signal = Handler::Signal;
+
 struct Msg {
-  enum class Kind : std::uint8_t {
-    kOp,
-    kMigStart,
-    kMigBegin,
-    kMigNode,
-    kMigEnd,
-    kFwdOp,
-    kStop,
-  };
+  enum class Kind : std::uint8_t { kOp, kMigStart, kSignal, kStop };
   Kind kind = Kind::kStop;
   SetOp op = SetOp::kContains;
   std::uint64_t key = 0;
-  std::uint64_t hi = 0;      ///< kMigStart / kMigBegin: range end
-  std::size_t peer = 0;      ///< kMigStart: target vault
-  SimSlot<Reply>* reply = nullptr;
-};
-
-struct Migration {
-  bool active = false;
-  bool outgoing = false;
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  std::size_t peer = 0;
-  std::uint64_t cursor = 0;
-};
-
-struct Directory {
-  std::vector<std::pair<std::uint64_t, std::size_t>> entries;  // sorted
-
-  std::size_t route(std::uint64_t key) const {
-    auto it = std::upper_bound(
-        entries.begin(), entries.end(), key,
-        [](std::uint64_t k, const auto& e) { return k < e.first; });
-    assert(it != entries.begin());
-    return (it - 1)->second;
-  }
-
-  std::uint64_t end_of(std::uint64_t key) const {
-    auto it = std::upper_bound(
-        entries.begin(), entries.end(), key,
-        [](std::uint64_t k, const auto& e) { return k < e.first; });
-    return it == entries.end() ? ~std::uint64_t{0} : it->first;
-  }
-
-  void move_range(std::uint64_t split, std::size_t vault) {
-    auto it = std::upper_bound(
-        entries.begin(), entries.end(), split,
-        [](std::uint64_t k, const auto& e) { return k < e.first; });
-    --it;
-    if (it->first == split) {
-      it->second = vault;
-    } else {
-      entries.insert(it + 1, {split, vault});
-    }
-  }
+  std::uint64_t hi = 0;   ///< kMigStart: range end
+  std::size_t peer = 0;   ///< kMigStart: target; kSignal: sender
+  Slot* reply = nullptr;
+  Signal signal{};        ///< kSignal
 };
 
 struct SimVault {
-  std::size_t id = 0;
-  std::unique_ptr<core::SkipList> list;
+  SimVault(std::size_t migrate_chunk, MigrationFault fault)
+      : handler(migrate_chunk, fault) {}
+
+  Handler handler;
   Mailbox<Msg> inbox;
-  Migration mig;
-  std::deque<Msg> deferred;
-  /// This core's OWN view of the ranges it serves (lo -> hi, exclusive),
-  /// advanced only by events this core has already processed (mirrors
-  /// core/pim_skiplist.cpp): execute/reject must consult this, never the
-  /// shared directory, which the source updates before the target has
-  /// processed the granting kMigBegin/kMigNode/kMigEnd stream.
-  std::map<std::uint64_t, std::uint64_t> owned;
-  /// Target-side fingers: kMigNode keys arrive ascending, so inserts are
-  /// amortized O(1) (the dual of the source's amortized extraction).
-  core::SkipList::InsertCursor incoming_cursor;
-  std::uint64_t requests = 0;
 };
 
 /// Deterministic in-sim load accounting for the kActiveLoadMap policy —
@@ -163,122 +148,123 @@ struct SimLoad {
   }
 };
 
+/// The state the vault actors share with the CPUs and the policies.
+struct Host {
+  explicit Host(const RebalanceConfig& cfg)
+      : msg_ns(cfg.params.message()),
+        dir(core::SentinelDirectory::equal_ranges(1, cfg.key_range,
+                                                  cfg.partitions)),
+        load(cfg.key_range, cfg.partitions) {
+    for (std::size_t v = 0; v < cfg.partitions; ++v) {
+      vaults.push_back(std::make_unique<SimVault>(
+          cfg.migrate_chunk, MigrationFault{cfg.fault, &dir}));
+    }
+    Handler::assign_initial(
+        dir, [this](std::size_t v) -> Handler& { return vaults[v]->handler; });
+  }
+
+  /// kMigStart to `source`: hand [split, end of its partition) to
+  /// `target`. True if the source accepted.
+  bool migrate(Context& ctx, std::size_t source, std::uint64_t split,
+               std::size_t target, Slot& reply) {
+    Msg m;
+    m.kind = Msg::Kind::kMigStart;
+    m.key = split;
+    m.hi = dir.partition_of(split).hi;
+    m.peer = target;
+    m.reply = &reply;
+    vaults[source]->inbox.send(ctx, m);
+    return reply.await(ctx).accepted;
+  }
+
+  void stop_all(Context& ctx) {
+    for (const auto& vault : vaults) vault->inbox.send(ctx, Msg{});
+  }
+
+  std::uint64_t requests(std::size_t v) const {
+    return vaults[v]->handler.stats().requests.load(std::memory_order_relaxed);
+  }
+
+  double msg_ns;
+  core::SentinelDirectory dir;  ///< the CPUs' sentinel copies
+  SimLoad load;
+  std::vector<std::unique_ptr<SimVault>> vaults;
+  bool migration_busy = false;  ///< the Section 4.2.1 one-at-a-time guard
+};
+
+/// SkipListVault's context over the simulator: one per vault actor.
+struct VaultCtx {
+  Host& host;
+  std::size_t vault;
+  Context& ctx;
+
+  std::size_t self() const { return vault; }
+  void send(std::size_t to, const Signal& s) {
+    if (s.kind == Signal::Kind::kMigBegin) {
+      ctx.trace_instant("mig_start", {"lo", s.key}, {"hi", s.hi});
+    } else if (s.kind == Signal::Kind::kMigEnd) {
+      ctx.trace_instant("mig_complete", {"source", vault}, {"target", to});
+    }
+    Msg m;
+    m.kind = Msg::Kind::kSignal;
+    m.peer = vault;
+    m.signal = s;
+    host.vaults[to]->inbox.send(ctx, m);
+    if (s.kind == Signal::Kind::kForward) {
+      ctx.trace_instant("mig_forward", {"key", s.key});
+    }
+  }
+  void charge(std::uint64_t n) { ctx.charge(MemClass::kPimLocal, n); }
+  void reply(Slot* slot, SkipListReply reply) {
+    slot->set(ctx, reply, host.msg_ns);
+  }
+  void record(std::uint64_t key) { host.load.record(vault, key); }
+  void publish_range(std::uint64_t lo, std::size_t to) {
+    host.dir.move_range(lo, to);
+  }
+  void migration_done() { host.migration_busy = false; }
+};
+
 }  // namespace
 
 RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
   Engine engine(cfg.params, cfg.seed);
   engine.set_perturbation(cfg.perturb);
   const std::size_t k = cfg.partitions;
-  const double msg_ns = cfg.params.message();
   RebalanceResult result;
 
-  Directory dir;
-  SimLoad load(cfg.key_range, k);
-  std::vector<std::unique_ptr<SimVault>> vaults;
-  for (std::size_t v = 0; v < k; ++v) {
-    dir.entries.push_back({1 + v * cfg.key_range / k, v});
-    auto vault = std::make_unique<SimVault>();
-    vault->id = v;
-    // Global-minimum sentinel: migrations may hand any vault any range.
-    vault->list = std::make_unique<core::SkipList>(0);
-    vaults.push_back(std::move(vault));
-  }
-  for (std::size_t v = 0; v < k; ++v) {
-    const std::uint64_t lo = dir.entries[v].first;
-    const std::uint64_t hi =
-        v + 1 < k ? dir.entries[v + 1].first : ~std::uint64_t{0};
-    vaults[v]->owned.emplace(lo, hi);
-  }
-  const auto owns_locally = [](const SimVault& vault, std::uint64_t key) {
-    auto it = vault.owned.upper_bound(key);
-    if (it == vault.owned.begin()) return false;
-    --it;
-    return key < it->second;
-  };
+  Host host(cfg);
+  core::SentinelDirectory& dir = host.dir;
   {
     Xoshiro256 setup(cfg.seed ^ 0xfeedULL);
     std::size_t total = 0;
     while (total < cfg.initial_size) {
       const std::uint64_t key = setup.next_in(1, cfg.key_range);
-      if (vaults[dir.route(key)]->list->insert_for_setup(setup, key)) {
+      TowerIndex& index = host.vaults[dir.route(key)]->handler.index();
+      if (index.insert_for_setup(setup, key)) {
         record_setup_add(cfg.recorder, key);
         ++total;
       }
     }
   }
-
-  bool migration_busy = false;  // the Section 4.2.1 one-at-a-time guard
-  std::int64_t net_adds = 0;    // successful adds minus successful removes
-
-  auto& registry = obs::Registry::instance();
-  obs::Counter& c_migrated = registry.counter("sim.rebalance.migrated_keys");
-  obs::Counter& c_forwarded = registry.counter("sim.rebalance.forwarded");
-  obs::Counter& c_deferred = registry.counter("sim.rebalance.deferred");
-  obs::Counter& c_rejections = registry.counter("sim.rebalance.rejections");
-
-  const auto execute_and_reply = [&](Context& ctx, SimVault& vault,
-                                     const Msg& m) {
-    ++vault.requests;
-    load.record(vault.id, m.key);
-    const bool r = vault.list->execute(m.op, m.key, ctx.rng(),
-                                       hop_charge(ctx, MemClass::kPimLocal));
-    if (r && m.op == SetOp::kAdd) ++net_adds;
-    if (r && m.op == SetOp::kRemove) --net_adds;
-    m.reply->set(ctx, Reply{true, r}, msg_ns);
-  };
-
-  // Returns true when it did migration work.
-  const auto step_migration = [&](Context& ctx, std::size_t v) -> bool {
-    SimVault& vault = *vaults[v];
-    Migration& mig = vault.mig;
-    for (std::size_t moved = 0; moved < cfg.migrate_chunk; ++moved) {
-      const auto key = vault.list->first_at_least(mig.cursor);
-      if (!key.has_value() || *key >= mig.hi) {
-        // Drop [lo, hi) from this core's own view, then redirect the CPUs.
-        auto it = std::prev(vault.owned.upper_bound(mig.lo));
-        assert(it->first <= mig.lo && mig.hi <= it->second);
-        const std::uint64_t old_hi = it->second;
-        if (it->first == mig.lo) {
-          vault.owned.erase(it);
-        } else {
-          it->second = mig.lo;
-        }
-        if (mig.hi < old_hi) vault.owned.emplace(mig.hi, old_hi);
-        dir.move_range(mig.lo, mig.peer);  // redirect the CPUs first
-        mig.active = false;
-        ctx.trace_instant("mig_complete", {"source", v},
-                          {"target", mig.peer});
-        Msg end;
-        end.kind = Msg::Kind::kMigEnd;
-        vaults[mig.peer]->inbox.send(ctx, end);
-        return true;
-      }
-      vault.list->extract_first_at_least(
-          mig.cursor, hop_charge(ctx, MemClass::kPimLocal));
-      ++result.migrated_keys;
-      c_migrated.add(1);
-      Msg node;
-      node.kind = Msg::Kind::kMigNode;
-      node.key = *key;
-      vaults[mig.peer]->inbox.send(ctx, node);
-      mig.cursor = *key + 1;
-    }
-    return true;
-  };
+  std::int64_t net_adds = 0;  // successful adds minus successful removes
 
   const std::size_t total_cpus = cfg.num_cpus;
   for (std::size_t v = 0; v < k; ++v) {
     engine.spawn("pim-core" + std::to_string(v), [&, v](Context& ctx) {
-      SimVault& vault = *vaults[v];
+      SimVault& vault = *host.vaults[v];
+      Handler& handler = vault.handler;
+      handler.index().rng = &ctx.rng();
+      VaultCtx vctx{host, v, ctx};
       std::size_t stopped = 0;
       // Two extra stops: the rebalancer actor and the window monitor.
       while (stopped < total_cpus + 2) {
         Msg m;
-        if (vault.mig.active && vault.mig.outgoing) {
+        if (handler.migrating_out()) {
           // Keep the migration moving even while requests arrive.
           auto polled = vault.inbox.try_recv(ctx);
           if (!polled.has_value()) {
-            step_migration(ctx, v);
+            handler.step_migration(vctx);
             continue;
           }
           m = *polled;
@@ -286,126 +272,24 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
           m = vault.inbox.recv(ctx);
         }
         switch (m.kind) {
-          case Msg::Kind::kOp: {
-            const Migration& mig = vault.mig;
-            // RebalanceFault::kDirectoryBeforeGrant: the execute/reject gate
-            // consults the SHARED directory instead of the vault-local owned
-            // view. Combined with the early directory publish below (the
-            // runtime's per-sender lanes let a direct request overtake the
-            // source's kMigBegin/kMigNode/kMigEnd stream; the early publish
-            // recreates that overtake under this sim's in-order delivery),
-            // the target answers direct requests from a list missing the
-            // in-flight nodes — the historical runtime bug the
-            // linearizability oracle caught under TSan. MUST be flagged by
-            // the checker.
-            if (cfg.fault == RebalanceFault::kDirectoryBeforeGrant &&
-                dir.route(m.key) == v) {
-              execute_and_reply(ctx, vault, m);
-              break;
-            }
-            if (mig.active && m.key >= mig.lo && m.key < mig.hi) {
-              if (mig.outgoing) {
-                // RebalanceFault::kStaleServe: the buggy source never
-                // consults the cursor and answers every key from its own
-                // (partially drained) list.
-                if (m.key >= mig.cursor ||
-                    cfg.fault == RebalanceFault::kStaleServe) {
-                  execute_and_reply(ctx, vault, m);
-                } else {
-                  Msg fwd = m;
-                  fwd.kind = Msg::Kind::kFwdOp;
-                  vaults[mig.peer]->inbox.send(ctx, fwd);
-                  ++result.forwarded;
-                  c_forwarded.add(1);
-                  ctx.trace_instant("mig_forward", {"key", m.key});
-                }
-              } else if (cfg.fault == RebalanceFault::kNoDefer) {
-                // Injected bug, part 2: answer directly-routed requests from
-                // the still-incomplete local copy instead of parking them.
-                execute_and_reply(ctx, vault, m);
-              } else {
-                vault.deferred.push_back(m);
-                ++result.deferred;
-                c_deferred.add(1);
-              }
-              break;
-            }
-            if (!owns_locally(vault, m.key)) {
-              // Reject by the LOCAL view, not dir.route(): the directory
-              // can already point here while the granting kMigBegin/
-              // kMigNode/kMigEnd stream is still queued behind this
-              // request (the race the linearizability oracle caught in
-              // the runtime twin under TSan).
-              m.reply->set(ctx, Reply{false, false}, msg_ns);
-              ++result.rejections;
-              c_rejections.add(1);
-              break;
-            }
-            execute_and_reply(ctx, vault, m);
+          case Msg::Kind::kOp:
+            handler.request(vctx, m.op, m.key, m.reply);
             break;
-          }
-          case Msg::Kind::kFwdOp:
-            execute_and_reply(ctx, vault, m);
+          case Msg::Kind::kMigStart:
+            handler.start_migration(vctx, m.key, m.hi, m.peer, m.reply);
             break;
-          case Msg::Kind::kMigStart: {
-            if (vault.mig.active || dir.route(m.key) != v) {
-              m.reply->set(ctx, Reply{false, false}, msg_ns);
-              break;
+          case Msg::Kind::kSignal:
+            if (m.signal.kind == Signal::Kind::kMigBegin) {
+              ctx.trace_instant("mig_begin", {"lo", m.signal.key},
+                                {"hi", m.signal.hi});
             }
-            vault.mig = Migration{true, true, m.key, m.hi, m.peer, m.key};
-            ctx.trace_instant("mig_start", {"lo", m.key}, {"hi", m.hi});
-            if (cfg.fault == RebalanceFault::kNoDefer) {
-              // Injected bug, part 1: publish the new owner at migration
-              // START (the notify-first reading of Section 4.2.1) instead of
-              // at completion. CPUs now route directly to the target while
-              // the node stream is still in flight — exactly the window the
-              // defer-until-kMigEnd rule closes. With the correct directory
-              // update (at completion, just before kMigEnd) the FIFO mailbox
-              // guarantees no direct request can overtake the final node,
-              // which would leave part 2 below unreachable.
-              dir.move_range(m.key, m.peer);
-            }
-            if (cfg.fault == RebalanceFault::kDirectoryBeforeGrant) {
-              // The directory says the target owns the range while the
-              // granting node stream is still in flight; the broken gate
-              // above turns that stale answer into wrong executions.
-              dir.move_range(m.key, m.peer);
-            }
-            Msg begin;
-            begin.kind = Msg::Kind::kMigBegin;
-            begin.key = m.key;
-            begin.hi = m.hi;
-            begin.peer = v;
-            vaults[m.peer]->inbox.send(ctx, begin);
-            m.reply->set(ctx, Reply{true, true}, msg_ns);
+            handler.receive(vctx, m.peer, m.signal);
             break;
-          }
-          case Msg::Kind::kMigBegin:
-            assert(!vault.mig.active);
-            vault.mig = Migration{true, false, m.key, m.hi, m.peer, m.key};
-            vault.incoming_cursor = core::SkipList::InsertCursor{};
-            ctx.trace_instant("mig_begin", {"lo", m.key}, {"hi", m.hi});
-            break;
-          case Msg::Kind::kMigNode:
-            vault.list->insert_ascending(
-                vault.incoming_cursor, m.key, ctx.rng(),
-                hop_charge(ctx, MemClass::kPimLocal));
-            break;
-          case Msg::Kind::kMigEnd: {
-            assert(vault.mig.active && !vault.mig.outgoing);
-            vault.owned.emplace(vault.mig.lo, vault.mig.hi);  // grant
-            vault.mig.active = false;
-            std::deque<Msg> pending;
-            pending.swap(vault.deferred);
-            for (const Msg& req : pending) execute_and_reply(ctx, vault, req);
-            migration_busy = false;
-            break;
-          }
           case Msg::Kind::kStop:
             ++stopped;
             break;
         }
-        if (vault.mig.active && vault.mig.outgoing) step_migration(ctx, v);
+        handler.step_migration(vctx);
       }
     });
   }
@@ -420,22 +304,24 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
       check::ThreadLog* log =
           cfg.recorder != nullptr ? &cfg.recorder->log(i) : nullptr;
       ZipfGenerator zipf(cfg.key_range, cfg.zipf_theta);
-      SimSlot<Reply> reply;
+      Slot reply;
       while (ctx.now() < cfg.duration_ns) {
         const std::uint64_t key = zipf.next(ctx.rng()) + 1;
         const SetOp op = pick_op(ctx.rng(), cfg.mix);
         if (log != nullptr) log->begin(check_op(op), key, ctx.now());
-        Reply r;
+        SkipListReply r;
         for (;;) {
           Msg m;
           m.kind = Msg::Kind::kOp;
           m.op = op;
           m.key = key;
           m.reply = &reply;
-          vaults[dir.route(key)]->inbox.send(ctx, m);
+          host.vaults[dir.route(key)]->inbox.send(ctx, m);
           r = reply.await(ctx);
           if (r.accepted) break;
         }
+        if (r.result && op == SetOp::kAdd) ++net_adds;
+        if (r.result && op == SetOp::kRemove) --net_adds;
         if (log != nullptr) {
           log->end(r.result ? check::kRetTrue : check::kRetFalse, ctx.now());
         }
@@ -445,11 +331,7 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
           ++after_ops;
         }
       }
-      for (std::size_t v = 0; v < k; ++v) {
-        Msg stop;
-        stop.kind = Msg::Kind::kStop;
-        vaults[v]->inbox.send(ctx, stop);
-      }
+      host.stop_all(ctx);
     });
   }
 
@@ -465,8 +347,8 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
       w.t_end = ctx.now();
       std::uint64_t peak = 0;
       for (std::size_t v = 0; v < k; ++v) {
-        const std::uint64_t d = vaults[v]->requests - last[v];
-        last[v] = vaults[v]->requests;
+        const std::uint64_t d = host.requests(v) - last[v];
+        last[v] = host.requests(v);
         w.ops += d;
         if (d > peak) {
           peak = d;
@@ -479,11 +361,7 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
       }
       result.windows.push_back(w);
     }
-    for (std::size_t v = 0; v < k; ++v) {
-      Msg stop;
-      stop.kind = Msg::Kind::kStop;
-      vaults[v]->inbox.send(ctx, stop);
-    }
+    host.stop_all(ctx);
   });
 
   // The active policy: the sim twin of core/auto_rebalancer::tick_active.
@@ -496,14 +374,7 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
     std::vector<std::size_t> cooldown(k, 0);
     std::vector<std::uint64_t> last_range(SimLoad::kRanges, 0);
     const bool thrash = cfg.fault == RebalanceFault::kThrash;
-    SimSlot<Reply> reply;
-    // Partition lower bound of `key` in the CPU-visible directory.
-    const auto partition_lo = [&](std::uint64_t key) {
-      auto it = std::upper_bound(
-          dir.entries.begin(), dir.entries.end(), key,
-          [](std::uint64_t kk, const auto& e) { return kk < e.first; });
-      return (it - 1)->first;
-    };
+    Slot reply;
     while (ctx.now() < cfg.duration_ns) {
       ctx.advance(static_cast<double>(cfg.policy_period_ns));
       ctx.sync();
@@ -513,8 +384,8 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
       std::size_t cold = 0;
       std::uint64_t cold_ops = ~std::uint64_t{0};
       for (std::size_t v = 0; v < k; ++v) {
-        const std::uint64_t d = vaults[v]->requests - last[v];
-        last[v] = vaults[v]->requests;
+        const std::uint64_t d = host.requests(v) - last[v];
+        last[v] = host.requests(v);
         total += d;
         if (d > peak) {
           peak = d;
@@ -527,8 +398,8 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
       }
       std::vector<std::uint64_t> rdelta(SimLoad::kRanges);
       for (std::size_t i = 0; i < SimLoad::kRanges; ++i) {
-        rdelta[i] = load.range_ops[i] - last_range[i];
-        last_range[i] = load.range_ops[i];
+        rdelta[i] = host.load.range_ops[i] - last_range[i];
+        last_range[i] = host.load.range_ops[i];
       }
       for (auto& c : cooldown) {
         if (c > 0) --c;
@@ -540,11 +411,11 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
       if (hot == cold) continue;
       if (!thrash && imbalance < cfg.imbalance_enter) continue;
       if (!thrash && cooldown[hot] > 0) continue;
-      if (migration_busy) continue;  // one migration at a time
+      if (host.migration_busy) continue;  // one migration at a time
       if (result.migrations >= cfg.max_migrations) continue;
       // --- split-key selection (mirrors AutoRebalancer::suggest_split) ---
       std::uint64_t split = 0;
-      const auto& entries = load.sketch[hot];
+      const auto& entries = host.load.sketch[hot];
       std::uint64_t mass = 0;
       std::size_t top = 0;
       for (std::size_t i = 0; i < SimLoad::kSketch; ++i) {
@@ -560,11 +431,11 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
             cfg.fault == RebalanceFault::kSplitOffByOne
                 ? entries[top].key
                 : entries[top].key + 1;
-        const bool in_span = cand < dir.end_of(entries[top].key) &&
+        const bool in_span = cand < dir.partition_of(entries[top].key).hi &&
                              cand <= cfg.key_range;
         const bool strict_suffix =
             cfg.fault == RebalanceFault::kSplitOffByOne ||
-            cand > partition_lo(entries[top].key);
+            cand > dir.partition_of(entries[top].key).lo;
         if (in_span && strict_suffix) split = cand;
       }
       if (split == 0) {
@@ -572,25 +443,28 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
         std::size_t best = SimLoad::kRanges;
         for (std::size_t i = 0; i < SimLoad::kRanges; ++i) {
           if (rdelta[i] == 0) continue;
-          const std::uint64_t lo = load.range_lo(i);
-          const std::uint64_t mid = lo + (load.range_hi(i) - lo) / 2;
-          if (dir.route(mid) != hot || mid <= partition_lo(mid)) continue;
+          const std::uint64_t lo = host.load.range_lo(i);
+          const std::uint64_t mid = lo + (host.load.range_hi(i) - lo) / 2;
+          if (dir.route(mid) != hot || mid <= dir.partition_of(mid).lo) {
+            continue;
+          }
           if (best == SimLoad::kRanges || rdelta[i] > rdelta[best]) best = i;
         }
         if (best < SimLoad::kRanges) {
-          const std::uint64_t lo = load.range_lo(best);
-          split = lo + (load.range_hi(best) - lo) / 2;
+          const std::uint64_t lo = host.load.range_lo(best);
+          split = lo + (host.load.range_hi(best) - lo) / 2;
         }
       }
       if (split == 0) {
         // Widest partition of the hot vault, split at its midpoint.
         std::uint64_t best_lo = 0;
         std::uint64_t best_hi = 0;
-        for (std::size_t i = 0; i < dir.entries.size(); ++i) {
-          if (dir.entries[i].second != hot) continue;
-          const std::uint64_t lo = dir.entries[i].first;
-          const std::uint64_t hi = i + 1 < dir.entries.size()
-                                       ? dir.entries[i + 1].first
+        const auto layout = dir.snapshot();
+        for (std::size_t i = 0; i < layout.size(); ++i) {
+          if (layout[i].vault != hot) continue;
+          const std::uint64_t lo = layout[i].sentinel;
+          const std::uint64_t hi = i + 1 < layout.size()
+                                       ? layout[i + 1].sentinel
                                        : cfg.key_range + 1;
           if (hi - lo > best_hi - best_lo) {
             best_lo = lo;
@@ -604,16 +478,9 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
       if (split == 0) continue;  // nothing splittable this window
       const std::size_t source = dir.route(split);
       if (source != hot || source == cold) continue;
-      migration_busy = true;
-      Msg m;
-      m.kind = Msg::Kind::kMigStart;
-      m.key = split;
-      m.hi = dir.end_of(split);
-      m.peer = cold;
-      m.reply = &reply;
-      vaults[source]->inbox.send(ctx, m);
-      if (!reply.await(ctx).accepted) {
-        migration_busy = false;
+      host.migration_busy = true;
+      if (!host.migrate(ctx, source, split, cold, reply)) {
+        host.migration_busy = false;
         continue;
       }
       ++result.migrations;
@@ -625,7 +492,7 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
     // the target's FIFO inbox, and the extracted-but-not-yet-inserted keys
     // would be lost with the run's teardown (the guard is cleared by the
     // target when it processes kMigEnd, so waiting on it is exact).
-    while (migration_busy) {
+    while (host.migration_busy) {
       ctx.advance(50'000);
       ctx.sync();
     }
@@ -652,14 +519,14 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
         if (split <= prev) split = prev + 1;
         splits.push_back(split);
       }
-      SimSlot<Reply> reply;
+      Slot reply;
       // Descending split order: each range leaves the hot vault directly
       // instead of cascading through every intermediate target.
       for (std::size_t qi = splits.size(); qi-- > 0;) {
         const std::size_t q = qi;
         const std::size_t target = q + 1;
         for (;;) {
-          if (migration_busy) {
+          if (host.migration_busy) {
             ctx.advance(50'000);
             ctx.sync();
             continue;
@@ -667,48 +534,46 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
           ctx.sync();
           const std::size_t source = dir.route(splits[q]);
           if (source == target) break;
-          migration_busy = true;
-          Msg m;
-          m.kind = Msg::Kind::kMigStart;
-          m.key = splits[q];
-          m.hi = dir.end_of(splits[q]);
-          m.peer = target;
-          m.reply = &reply;
-          vaults[source]->inbox.send(ctx, m);
-          if (reply.await(ctx).accepted) {
+          host.migration_busy = true;
+          if (host.migrate(ctx, source, splits[q], target, reply)) {
             ++result.migrations;
             if (ctx.now() >= 2 * third) ++result.migrations_late;
             break;
           }
-          migration_busy = false;
+          host.migration_busy = false;
           ctx.advance(50'000);
         }
         // Wait for completion (kMigEnd clears the guard).
-        while (migration_busy) {
+        while (host.migration_busy) {
           ctx.advance(50'000);
           ctx.sync();
         }
       }
     }
     // Counts as one "stop" so the cores can wind down.
-    for (std::size_t v = 0; v < k; ++v) {
-      Msg stop;
-      stop.kind = Msg::Kind::kStop;
-      vaults[v]->inbox.send(ctx, stop);
-    }
+    host.stop_all(ctx);
   });
 
   engine.run();
 
   result.before = {before_ops, third};
   result.after = {after_ops, third};
-  for (const auto& vault : vaults) {
-    result.final_requests_per_vault.push_back(vault->requests);
-  }
   std::int64_t final_size = 0;
-  for (const auto& vault : vaults) {
-    final_size += static_cast<std::int64_t>(vault->list->size());
+  for (std::size_t v = 0; v < k; ++v) {
+    const core::SkipListVaultStats& stats = host.vaults[v]->handler.stats();
+    result.final_requests_per_vault.push_back(host.requests(v));
+    result.migrated_keys += stats.migrated_keys.load();
+    result.forwarded += stats.forwarded.load();
+    result.deferred += stats.deferred.load();
+    result.rejections += stats.rejected.load();
+    final_size +=
+        static_cast<std::int64_t>(host.vaults[v]->handler.index().size());
   }
+  auto& registry = obs::Registry::instance();
+  registry.counter("sim.rebalance.migrated_keys").add(result.migrated_keys);
+  registry.counter("sim.rebalance.forwarded").add(result.forwarded);
+  registry.counter("sim.rebalance.deferred").add(result.deferred);
+  registry.counter("sim.rebalance.rejections").add(result.rejections);
   result.size_consistent =
       final_size == static_cast<std::int64_t>(cfg.initial_size) + net_adds;
   return result;

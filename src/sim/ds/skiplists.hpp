@@ -57,6 +57,9 @@ RunResult run_pim_skiplist(const SkipListConfig& cfg, std::size_t partitions);
 /// completes; CPUs re-route after rejection).
 /// Deliberately broken migration variants (Section 4.2.1) for checker
 /// mutation testing; each MUST be flagged by the linearizability checker.
+/// kStaleServe, kNoDefer and kDirectoryBeforeGrant act through
+/// core::SkipListVault's Fault hook, so they break the shipped handler;
+/// kThrash and kSplitOffByOne act on the simulated active policy.
 enum class RebalanceFault : std::uint8_t {
   kNone,
   /// The source vault keeps serving ALL keys locally during migration —
@@ -88,7 +91,7 @@ enum class RebalanceFault : std::uint8_t {
   kSplitOffByOne,
   /// The execute/reject gate consults the SHARED directory instead of the
   /// vault-local owned-ranges view — the historical bug the
-  /// linearizability oracle caught in the runtime twin: the source
+  /// linearizability oracle caught in the runtime skip list: the source
   /// publishes the new owner in the directory before the target has
   /// processed the granting kMigBegin/kMigNode/kMigEnd stream (in the
   /// runtime, per-sender lanes let a direct request overtake that stream;

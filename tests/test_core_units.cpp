@@ -1,10 +1,12 @@
 // Unit tests for the core/ building blocks used by the PIM structures:
-// the sentinel directory, the vault-local fat-node index, Algorithm 1's shared
-// vault handler, and the shared sorted list on heap and vault nodes (its
-// semantics and charge rule are in test_sim_structures).
+// the sentinel directory, the vault-local fat-node index, Algorithm 1's and
+// Section 4.2.1's shared vault handlers, and the shared sorted list on heap
+// and vault nodes (its semantics and charge rule are in
+// test_sim_structures).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory_resource>
 #include <set>
 #include <utility>
@@ -13,8 +15,10 @@
 #include "common/rng.hpp"
 #include "core/queue_vault.hpp"
 #include "core/sentinel_directory.hpp"
+#include "core/skip_list_vault.hpp"
 #include "core/sorted_list.hpp"
 #include "core/vault_index.hpp"
+#include "obs/loadmap.hpp"
 #include "runtime/vault.hpp"
 
 namespace pimds {
@@ -22,6 +26,11 @@ namespace {
 
 using core::SentinelDirectory;
 using core::VaultIndex;
+
+/// Hop-cost hook adding each charged call's accesses to `total`.
+auto tally(std::uint64_t& total) {
+  return [&total](std::uint64_t n) { total += n; };
+}
 
 TEST(SentinelDirectory, RoutesByGreatestSentinelAtMostKey) {
   SentinelDirectory dir({{1, 0}, {100, 1}, {200, 2}});
@@ -89,13 +98,13 @@ TEST(VaultIndex, MatchesStdSetAndCountsSteps) {
     std::uint64_t steps = 0;
     switch (rng.next_below(3)) {
       case 0:
-        ASSERT_EQ(list.add(key, &steps), reference.insert(key).second);
+        ASSERT_EQ(list.add(key, tally(steps)), reference.insert(key).second);
         break;
       case 1:
-        ASSERT_EQ(list.remove(key, &steps), reference.erase(key) > 0);
+        ASSERT_EQ(list.remove(key, tally(steps)), reference.erase(key) > 0);
         break;
       default:
-        ASSERT_EQ(list.contains(key, &steps), reference.count(key) > 0);
+        ASSERT_EQ(list.contains(key, tally(steps)), reference.count(key) > 0);
     }
     EXPECT_GT(steps, 0u);
     total_steps += steps;
@@ -139,14 +148,14 @@ TEST(VaultIndex, ContainsChargesExactlyTheHeight) {
   runtime::Vault vault(0, 16u << 20);
   VaultIndex index(vault);
   std::uint64_t steps = 0;
-  EXPECT_FALSE(index.contains(5, &steps));
+  EXPECT_FALSE(index.contains(5, tally(steps)));
   EXPECT_EQ(steps, 1u);  // an empty index is one root leaf
   fill_uniform(index, 8192, 1);
   ASSERT_GE(index.height(), 4);
   Xoshiro256 rng(2);
   for (int i = 0; i < 2000; ++i) {
     steps = 0;
-    index.contains(1 + rng.next_below(1u << 16), &steps);
+    index.contains(1 + rng.next_below(1u << 16), tally(steps));
     ASSERT_EQ(steps, static_cast<std::uint64_t>(index.height()));
   }
 }
@@ -193,7 +202,7 @@ TEST(VaultIndex, GrowthFromPrefillToFourteenThousandKeysStaysAtHeightFive) {
       index.remove(key);
     } else {
       std::uint64_t steps = 0;
-      index.contains(key, &steps);
+      index.contains(key, tally(steps));
       ASSERT_EQ(steps, 5u) << "at " << index.size() << " keys";
       ++probes;
     }
@@ -212,7 +221,7 @@ TEST(VaultIndex, AddChargesHeightPlusTheNodesItsSplitCreated) {
     const int height = index.height();
     const std::uint64_t blocks = vault.live_blocks();  // adds never free
     std::uint64_t steps = 0;
-    const bool added = index.add(1 + rng.next_below(1u << 16), &steps);
+    const bool added = index.add(1 + rng.next_below(1u << 16), tally(steps));
     const std::uint64_t created = vault.live_blocks() - blocks;
     ASSERT_EQ(steps, static_cast<std::uint64_t>(height) + created);
     if (!added) {
@@ -236,7 +245,8 @@ TEST(VaultIndex, MigrationHelpersStayUnderTheOneKeyLayoutsPerKeyCharge) {
   std::uint64_t extract_steps = 0;
   std::uint64_t cursor = kKeys;
   for (std::uint64_t i = 0; i < kKeys; ++i) {
-    const auto key = source.extract_first_at_least(cursor, &extract_steps);
+    const auto key =
+        source.extract_first_at_least(cursor, tally(extract_steps));
     ASSERT_EQ(key, std::optional<std::uint64_t>(cursor));
     cursor = *key + 1;
   }
@@ -252,7 +262,7 @@ TEST(VaultIndex, MigrationHelpersStayUnderTheOneKeyLayoutsPerKeyCharge) {
   VaultIndex::InsertCursor finger;
   std::uint64_t insert_steps = 0;
   for (std::uint64_t k = kKeys; k < 2 * kKeys; ++k) {
-    ASSERT_TRUE(target.insert_ascending(finger, k, &insert_steps));
+    ASSERT_TRUE(target.insert_ascending(finger, k, tally(insert_steps)));
   }
   EXPECT_LE(insert_steps, 2 * kKeys);
   EXPECT_LE(insert_steps, kKeys / 4);
@@ -353,7 +363,7 @@ TEST(WindowedVaultIndex, ContainsChargesExactlyItsWindowsHeight) {
   for (int i = 0; i < kProbes; ++i) {
     const std::uint64_t key = 1 + rng.next_below(1u << 16);
     std::uint64_t steps = 0;
-    index.contains(key, &steps);
+    index.contains(key, tally(steps));
     ASSERT_EQ(steps, static_cast<std::uint64_t>(index.height(key))) << key;
     total += steps;
   }
@@ -377,11 +387,14 @@ TEST(WindowedVaultIndex, ClusteredKeysChargeWhatOneWholeDomainTreeCharges) {
     std::uint64_t b = 0;
     const int height = whole.height();
     if (op == 0) {
-      ASSERT_EQ(windowed.add(key, &a), whole.add(key, &b)) << key;
+      ASSERT_EQ(windowed.add(key, tally(a)), whole.add(key, tally(b))) << key;
     } else if (op == 1) {
-      ASSERT_EQ(windowed.remove(key, &a), whole.remove(key, &b)) << key;
+      ASSERT_EQ(windowed.remove(key, tally(a)), whole.remove(key, tally(b)))
+          << key;
     } else {
-      ASSERT_EQ(windowed.contains(key, &a), whole.contains(key, &b)) << key;
+      ASSERT_EQ(windowed.contains(key, tally(a)),
+                whole.contains(key, tally(b)))
+          << key;
     }
     ASSERT_EQ(a, b) << "op " << op << " key " << key;
     ASSERT_EQ(windowed.height(key), whole.height());
@@ -408,8 +421,8 @@ TEST(WindowedVaultIndex, ClusteredKeysChargeWhatOneWholeDomainTreeCharges) {
     if (!next.has_value()) break;
     std::uint64_t a = 0;
     std::uint64_t b = 0;
-    ASSERT_EQ(windowed.extract_first_at_least(cursor, &a),
-              whole.extract_first_at_least(cursor, &b));
+    ASSERT_EQ(windowed.extract_first_at_least(cursor, tally(a)),
+              whole.extract_first_at_least(cursor, tally(b)));
     ASSERT_EQ(a, b) << *next;
     moved.push_back(*next);
     cursor = *next + 1;
@@ -419,8 +432,8 @@ TEST(WindowedVaultIndex, ClusteredKeysChargeWhatOneWholeDomainTreeCharges) {
   for (const std::uint64_t key : moved) {
     std::uint64_t a = 0;
     std::uint64_t b = 0;
-    ASSERT_TRUE(windowed.insert_ascending(windowed_finger, key, &a));
-    ASSERT_TRUE(whole.insert_ascending(whole_finger, key, &b));
+    ASSERT_TRUE(windowed.insert_ascending(windowed_finger, key, tally(a)));
+    ASSERT_TRUE(whole.insert_ascending(whole_finger, key, tally(b)));
     ASSERT_EQ(a, b) << key;
   }
   EXPECT_EQ(windowed.size(), whole.size());
@@ -438,10 +451,12 @@ TEST(WindowedVaultIndex, DifferentialAgainstStdSetAcrossManyWindows) {
     const int height = index.height(key);
     std::uint64_t steps = 0;
     if (add) {
-      ASSERT_EQ(index.add(key, &steps), reference.insert(key).second) << key;
+      ASSERT_EQ(index.add(key, tally(steps)), reference.insert(key).second)
+          << key;
       ASSERT_GE(steps, static_cast<std::uint64_t>(height));
     } else {
-      ASSERT_EQ(index.remove(key, &steps), reference.erase(key) > 0) << key;
+      ASSERT_EQ(index.remove(key, tally(steps)), reference.erase(key) > 0)
+          << key;
       // The descent, plus one read per collapsed child off the path.
       ASSERT_EQ(steps, static_cast<std::uint64_t>(
                            height + height - index.height(key)))
@@ -452,7 +467,8 @@ TEST(WindowedVaultIndex, DifferentialAgainstStdSetAcrossManyWindows) {
   };
   const auto check = [&](std::uint64_t key) {
     std::uint64_t steps = 0;
-    ASSERT_EQ(index.contains(key, &steps), reference.count(key) > 0) << key;
+    ASSERT_EQ(index.contains(key, tally(steps)), reference.count(key) > 0)
+        << key;
     ASSERT_EQ(steps, static_cast<std::uint64_t>(index.height(key)));
     const auto it = reference.lower_bound(key);
     const std::optional<std::uint64_t> want =
@@ -518,7 +534,8 @@ TEST(WindowedVaultIndex, MigrationHelpersSweepAcrossWindowsIncludingEmptyOnes) {
   for (std::uint64_t cursor = lo;;) {
     const auto next = source.first_at_least(cursor);
     if (!next.has_value() || *next >= hi) break;
-    ASSERT_EQ(source.extract_first_at_least(cursor, &extract_steps), next);
+    ASSERT_EQ(source.extract_first_at_least(cursor, tally(extract_steps)),
+              next);
     moved.push_back(*next);
     cursor = *next + 1;
   }
@@ -542,7 +559,7 @@ TEST(WindowedVaultIndex, MigrationHelpersSweepAcrossWindowsIncludingEmptyOnes) {
   VaultIndex::InsertCursor finger;
   std::uint64_t insert_steps = 0;
   for (const std::uint64_t key : moved) {
-    ASSERT_TRUE(target.insert_ascending(finger, key, &insert_steps));
+    ASSERT_TRUE(target.insert_ascending(finger, key, tally(insert_steps)));
   }
   EXPECT_LE(insert_steps, moved.size() / 4);
   EXPECT_EQ(target.size(), 5 * 256u);
@@ -551,6 +568,142 @@ TEST(WindowedVaultIndex, MigrationHelpersSweepAcrossWindowsIncludingEmptyOnes) {
     ASSERT_EQ(target.contains(key), key < lo || key >= hi || in_sweep(key))
         << key;
   }
+}
+
+// ------------------------------------------ SkipListVault (Sec. 4.2.1)
+
+/// Two vaults' shared state for SkipListVault's context: per-vault FIFO
+/// inboxes of core-to-core signals, the replies, the directory and the
+/// load map. Requesters are plain ids.
+struct SkipListBus {
+  using Signal = core::SkipListSignal<int>;
+  struct Mail {
+    std::size_t from;
+    Signal signal;
+  };
+  struct Reply {
+    int who;
+    core::SkipListReply reply;
+  };
+
+  std::deque<Mail> inbox[2];
+  std::vector<Reply> replies;
+  SentinelDirectory dir{{{1, 0}, {1000, 1}}};
+  obs::LoadMap load{[] {
+    obs::LoadMap::Options o;
+    o.num_vaults = 2;
+    o.key_min = 1;
+    o.key_max = 1999;
+    return o;
+  }()};
+  int migrations_done = 0;
+};
+
+struct FakeSkipListCtx {
+  SkipListBus& bus;
+  std::size_t vault;
+
+  std::size_t self() const { return vault; }
+  void send(std::size_t to, const SkipListBus::Signal& s) {
+    bus.inbox[to].push_back({vault, s});
+  }
+  void charge(std::uint64_t) {}
+  void reply(int who, core::SkipListReply r) {
+    bus.replies.push_back({who, r});
+  }
+  void record(std::uint64_t key) { bus.load.record(vault, key); }
+  void publish_range(std::uint64_t lo, std::size_t to) {
+    bus.dir.move_range(lo, to);
+  }
+  void migration_done() { ++bus.migrations_done; }
+};
+
+TEST(SkipListVault, EachOpCountsOnceThroughForwardDeferAndReject) {
+  using Handler = core::SkipListVault<VaultIndex, int>;
+  using Kind = SkipListBus::Signal::Kind;
+  runtime::Vault memory0(0, 1u << 20);
+  runtime::Vault memory1(1, 1u << 20);
+  Handler source(2, core::NoMigrationFault{}, memory0, 1, 1999);
+  Handler target(2, core::NoMigrationFault{}, memory1, 1, 1999);
+  Handler* at[2] = {&source, &target};
+  SkipListBus bus;
+  Handler::assign_initial(bus.dir,
+                          [&](std::size_t v) -> Handler& { return *at[v]; });
+  FakeSkipListCtx ctx0{bus, 0};
+  FakeSkipListCtx ctx1{bus, 1};
+  const auto deliver = [&](Kind expected) {
+    ASSERT_FALSE(bus.inbox[1].empty());
+    const SkipListBus::Mail mail = bus.inbox[1].front();
+    bus.inbox[1].pop_front();
+    ASSERT_EQ(mail.signal.kind, expected);
+    target.receive(ctx1, mail.from, mail.signal);
+  };
+  const auto last_reply = [&] { return bus.replies.back(); };
+
+  for (std::uint64_t key = 100; key <= 600; key += 100) {
+    source.request(ctx0, core::SetOp::kAdd, key, 0);
+  }
+  source.start_migration(ctx0, 300, 1000, 1, -1);
+  EXPECT_TRUE(last_reply().reply.accepted);
+  source.step_migration(ctx0);  // moves 300 and 400 (chunk of 2)
+
+  // Moved key at the source: forwarded. Unmoved key: served there.
+  source.request(ctx0, core::SetOp::kContains, 300, 1);
+  source.request(ctx0, core::SetOp::kContains, 500, 2);
+  EXPECT_EQ(last_reply().who, 2);
+  EXPECT_TRUE(last_reply().reply.result);
+  // The target does not own the range yet: rejected.
+  target.request(ctx1, core::SetOp::kContains, 350, 3);
+  EXPECT_EQ(last_reply().who, 3);
+  EXPECT_FALSE(last_reply().reply.accepted);
+
+  deliver(Kind::kMigBegin);
+  // A direct request for the incoming range waits for kMigEnd.
+  const std::size_t replies_before = bus.replies.size();
+  target.request(ctx1, core::SetOp::kAdd, 450, 4);
+  EXPECT_EQ(bus.replies.size(), replies_before);
+  deliver(Kind::kMigNode);
+  deliver(Kind::kMigNode);
+  deliver(Kind::kForward);
+  EXPECT_EQ(last_reply().who, 1);
+  EXPECT_TRUE(last_reply().reply.result);
+
+  source.step_migration(ctx0);  // moves 500 and 600
+  source.step_migration(ctx0);  // nothing left: hand-over
+  EXPECT_FALSE(source.migrating_out());
+  EXPECT_EQ(bus.dir.route(300), 1u);
+  deliver(Kind::kMigNode);
+  deliver(Kind::kMigNode);
+  deliver(Kind::kMigEnd);
+  EXPECT_TRUE(bus.inbox[1].empty());
+  EXPECT_EQ(bus.migrations_done, 1);
+  EXPECT_EQ(last_reply().who, 4);
+  EXPECT_TRUE(last_reply().reply.result);
+  // The rejected request, retried, executes at its new owner.
+  target.request(ctx1, core::SetOp::kContains, 350, 3);
+  EXPECT_TRUE(last_reply().reply.accepted);
+  EXPECT_FALSE(last_reply().reply.result);
+
+  // Executed: the source's 6 adds and op 2; the target's ops 1, 4 and 3.
+  EXPECT_EQ(source.stats().requests.load(), 7u);
+  EXPECT_EQ(target.stats().requests.load(), 3u);
+  EXPECT_EQ(bus.load.vault_ops(0), 7u);
+  EXPECT_EQ(bus.load.vault_ops(1), 3u);
+  EXPECT_EQ(source.stats().forwarded.load(), 1u);
+  EXPECT_EQ(target.stats().deferred.load(), 1u);
+  EXPECT_EQ(target.stats().rejected.load(), 1u);
+  EXPECT_EQ(source.stats().migrated_keys.load(), 4u);
+  EXPECT_EQ(source.stats().keys.load(), 2u);  // 100 and 200
+  EXPECT_EQ(target.stats().keys.load(), 5u);  // 300..600 and 450
+  EXPECT_EQ(target.index().size(), 5u);
+  // Every requester got exactly one accepted answer.
+  std::vector<int> accepted;
+  for (const SkipListBus::Reply& r : bus.replies) {
+    if (r.reply.accepted) accepted.push_back(r.who);
+  }
+  std::sort(accepted.begin(), accepted.end());
+  EXPECT_EQ(accepted,
+            (std::vector<int>{-1, 0, 0, 0, 0, 0, 0, 1, 2, 3, 4}));
 }
 
 // --------------------------------------------------- QueueVault (Alg. 1)

@@ -129,7 +129,8 @@ TEST(Table2, FatNodeAccessesMatchTheVaultIndex) {
     constexpr int kProbes = 10000;
     std::uint64_t steps = 0;
     for (int i = 0; i < kProbes; ++i) {
-      index.contains(1 + rng.next_below(1u << 16), &steps);
+      index.contains(1 + rng.next_below(1u << 16),
+                     [&steps](std::uint64_t n) { steps += n; });
     }
     const double measured = static_cast<double>(steps) / kProbes;
     const double model =

@@ -9,6 +9,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baselines/fc_structures.hpp"
@@ -41,6 +42,17 @@ struct AnySet {
   std::function<bool(std::uint64_t)> contains;
   std::function<void()> teardown = [] {};
 };
+
+/// A PIM structure whose deleter holds the system: the structure is
+/// destroyed first, while its vaults are still alive, whichever of the
+/// AnySet lambdas holding either goes last.
+template <typename S, typename... Args>
+std::shared_ptr<S> on_system(std::shared_ptr<runtime::PimSystem> system,
+                             Args&&... args) {
+  return std::shared_ptr<S>(
+      new S(*system, std::forward<Args>(args)...),
+      [system](S* s) { delete s; });
+}
 
 AnySet make_set(const std::string& name) {
   if (name == "hoh") {
@@ -76,24 +88,24 @@ AnySet make_set(const std::string& name) {
   if (name == "pimlist") {
     auto system = std::make_shared<runtime::PimSystem>(
         runtime::PimSystem::Config{1, 8u << 20, 4096, {}, false});
-    auto s = std::make_shared<core::PimLinkedList>(*system);
+    auto s = on_system<core::PimLinkedList>(system);
     system->start();
     return {[s](std::uint64_t k) { return s->add(k); },
             [s](std::uint64_t k) { return s->remove(k); },
             [s](std::uint64_t k) { return s->contains(k); },
-            [system, s] { system->stop(); }};
+            [system] { system->stop(); }};
   }
   if (name == "pimskip") {
     auto system = std::make_shared<runtime::PimSystem>(
         runtime::PimSystem::Config{4, 8u << 20, 4096, {}, false});
     core::PimSkipList::Options options;
     options.key_max = 1u << 20;
-    auto s = std::make_shared<core::PimSkipList>(*system, options);
+    auto s = on_system<core::PimSkipList>(system, options);
     system->start();
     return {[s](std::uint64_t k) { return s->add(k); },
             [s](std::uint64_t k) { return s->remove(k); },
             [s](std::uint64_t k) { return s->contains(k); },
-            [system, s] { system->stop(); }};
+            [system] { system->stop(); }};
   }
   ADD_FAILURE() << "unknown structure " << name;
   return {};
