@@ -70,10 +70,10 @@ int main(int argc, char** argv) {
       return cfg;
     };
     sim::RebalanceConfig observe = gated_base();
-    observe.rebalance = false;  // skew, no intervention
+    observe.policy = sim::RebalancePolicy::kNone;  // skew, no intervention
     const auto r_obs = sim::run_pim_skiplist_rebalance(observe);
     sim::RebalanceConfig uniform = gated_base();
-    uniform.rebalance = false;
+    uniform.policy = sim::RebalancePolicy::kNone;
     uniform.zipf_theta = 0.0;  // no skew: the throughput yardstick
     const auto r_uni = sim::run_pim_skiplist_rebalance(uniform);
     sim::RebalanceConfig active = gated_base();
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   for (double theta : {0.6, 0.9, 0.99}) {
     sim::RebalanceConfig cfg;
     cfg.zipf_theta = theta;
-    cfg.rebalance = false;
+    cfg.policy = sim::RebalancePolicy::kNone;
     const auto r = sim::run_pim_skiplist_rebalance(cfg);
     std::printf("  theta=%.2f k=4: before %s after %s Mops/s (flat)\n",
                 theta, mops(r.before.ops_per_sec()).c_str(),

@@ -55,6 +55,22 @@ python3 scripts/trace_report.py --check-bench "$telemetry_dir/table2.json"
 rm -rf "$telemetry_dir"
 echo "telemetry-smoke: OK"
 
+echo "== tier-1: sim skip-list rows (virtual-time baselines reproduce) =="
+# Table 2, its Zipf-skewed twin, Figure 4 and the simulated rebalancing
+# ablation run in virtual time, so their committed BENCH_*.json must
+# reproduce. bench_all.py regenerates them under its own file names;
+# perf_gate holds them at the committed tolerances and notes_min bars.
+rows_dir="$(mktemp -d)"
+python3 scripts/bench_all.py --build-dir build --out-dir "$rows_dir" \
+  --filter skiplists > /dev/null
+python3 scripts/bench_all.py --build-dir build --out-dir "$rows_dir" \
+  --filter ablation_rebalance_sim > /dev/null
+python3 scripts/perf_gate.py --baseline-dir . --fresh-dir "$rows_dir" \
+  --only table2_skiplists --only table2_skiplists_skew \
+  --only fig4_skiplists --only ablation_rebalance_sim
+rm -rf "$rows_dir"
+echo "sim-rows: OK"
+
 echo "== tier-1: active-rebalance smoke (closed loop must settle) =="
 # The INVERTED assertion: the real-thread ablation with --active lets the
 # AutoRebalancer drive migrations itself; the telemetry stream must show

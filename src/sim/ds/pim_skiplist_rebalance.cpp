@@ -1,16 +1,20 @@
-// Simulated PIM skip-list with the full Section 4.2.1 node-migration
-// protocol, driven by a Zipf-skewed workload and an online rebalancer.
+// The simulated PIM skip-list (Section 4.2, Table 2, Figure 4) with the
+// full Section 4.2.1 node-migration protocol: one host for the paper rows
+// (run_pim_skiplist, no policy) and the migration runs
+// (run_pim_skiplist_rebalance, an oracle or active policy).
 //
 // The vault side is core::SkipListVault (core/skip_list_vault.hpp), the
 // code the runtime skip list runs, over the paper's one-key core::SkipList;
 // this host decodes its messages, routes CPUs through a
-// core::SentinelDirectory, and runs the window monitor and the oracle and
-// active rebalancing policies. RebalanceFault's protocol mutants are the
+// core::SentinelDirectory, attributes each request's latency to phases
+// (obs/phase.hpp), and runs the window monitor and the oracle and active
+// rebalancing policies. RebalanceFault's protocol mutants are the
 // handler's Fault hook (MigrationFault below); kThrash and kSplitOffByOne
 // are policy mutants and live in the active policy.
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -87,6 +91,11 @@ struct Msg {
   std::size_t peer = 0;   ///< kMigStart: target; kSignal: sender
   Slot* reply = nullptr;
   Signal signal{};        ///< kSignal
+  // kOp trace context (obs/phase.hpp): the virtual send time, for the
+  // request_flight / mailbox_queue split, and the causal request id tying
+  // the CPU's `op` span to the serving core's events.
+  Time issue_ns = 0;
+  std::uint64_t req = 0;
 };
 
 struct SimVault {
@@ -155,9 +164,12 @@ struct Host {
         dir(core::SentinelDirectory::equal_ranges(1, cfg.key_range,
                                                   cfg.partitions)),
         load(cfg.key_range, cfg.partitions) {
+    auto& registry = obs::Registry::instance();
     for (std::size_t v = 0; v < cfg.partitions; ++v) {
       vaults.push_back(std::make_unique<SimVault>(
           cfg.migrate_chunk, MigrationFault{cfg.fault, &dir}));
+      vault_ops.push_back(&registry.counter("sim.pim_skiplist.vault" +
+                                            std::to_string(v) + ".ops"));
     }
     Handler::assign_initial(
         dir, [this](std::size_t v) -> Handler& { return vaults[v]->handler; });
@@ -189,6 +201,9 @@ struct Host {
   core::SentinelDirectory dir;  ///< the CPUs' sentinel copies
   SimLoad load;
   std::vector<std::unique_ptr<SimVault>> vaults;
+  /// Ops executed per vault: uniform keys load the vaults evenly, skew
+  /// shows up directly as counter imbalance (the telemetry scenario).
+  std::vector<obs::Counter*> vault_ops;
   bool migration_busy = false;  ///< the Section 4.2.1 one-at-a-time guard
 };
 
@@ -218,7 +233,10 @@ struct VaultCtx {
   void reply(Slot* slot, SkipListReply reply) {
     slot->set(ctx, reply, host.msg_ns);
   }
-  void record(std::uint64_t key) { host.load.record(vault, key); }
+  void record(std::uint64_t key) {
+    host.vault_ops[vault]->add(1);
+    host.load.record(vault, key);
+  }
   void publish_range(std::uint64_t lo, std::size_t to) {
     host.dir.move_range(lo, to);
   }
@@ -236,7 +254,7 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
   Host host(cfg);
   core::SentinelDirectory& dir = host.dir;
   {
-    Xoshiro256 setup(cfg.seed ^ 0xfeedULL);
+    Xoshiro256 setup(cfg.seed ^ 0x5eedULL);
     std::size_t total = 0;
     while (total < cfg.initial_size) {
       const std::uint64_t key = setup.next_in(1, cfg.key_range);
@@ -249,7 +267,10 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
   }
   std::int64_t net_adds = 0;  // successful adds minus successful removes
 
-  const std::size_t total_cpus = cfg.num_cpus;
+  // Every actor but the vaults sends each vault one stop: the CPUs, the
+  // window monitor and, unless there is no policy, the rebalancer.
+  const bool has_policy = cfg.policy != RebalancePolicy::kNone;
+  const std::size_t stops = cfg.num_cpus + 1 + (has_policy ? 1 : 0);
   for (std::size_t v = 0; v < k; ++v) {
     engine.spawn("pim-core" + std::to_string(v), [&, v](Context& ctx) {
       SimVault& vault = *host.vaults[v];
@@ -257,8 +278,7 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
       handler.index().rng = &ctx.rng();
       VaultCtx vctx{host, v, ctx};
       std::size_t stopped = 0;
-      // Two extra stops: the rebalancer actor and the window monitor.
-      while (stopped < total_cpus + 2) {
+      while (stopped < stops) {
         Msg m;
         if (handler.migrating_out()) {
           // Keep the migration moving even while requests arrive.
@@ -272,9 +292,31 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
           m = vault.inbox.recv(ctx);
         }
         switch (m.kind) {
-          case Msg::Kind::kOp:
+          case Msg::Kind::kOp: {
+            // Latency attribution: send -> pickup splits into the
+            // Lmessage request_flight and the queueing remainder
+            // (mailbox_queue); vault_service is the handler's work and
+            // response_flight the reply's crossbar leg. In virtual time
+            // they tile the attempt exactly when the op executes here.
+            const Time t_serve = ctx.now();
+            const Time wait = t_serve - m.issue_ns;
+            const Time flight = std::min(wait, static_cast<Time>(host.msg_ns));
+            obs::record_sim_phase(obs::Phase::kRequestFlight, flight);
+            obs::record_sim_phase(obs::Phase::kMailboxQueue, wait - flight);
+            if (m.req != 0 && obs::trace_enabled()) {
+              ctx.trace_instant("req_dispatch", {"req", m.req},
+                                {"wait_ns", wait});
+            }
             handler.request(vctx, m.op, m.key, m.reply);
+            obs::record_sim_phase(obs::Phase::kVaultService,
+                                  ctx.now() - t_serve);
+            obs::record_sim_phase(obs::Phase::kResponseFlight,
+                                  static_cast<Time>(host.msg_ns));
+            if (obs::trace_enabled()) {
+              ctx.trace_complete("vault_service", t_serve, {"vault", v});
+            }
             break;
+          }
           case Msg::Kind::kMigStart:
             handler.start_migration(vctx, m.key, m.hi, m.peer, m.reply);
             break;
@@ -294,28 +336,45 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
     });
   }
 
-  // CPU clients with a Zipf-skewed key stream (rank 0 -> key 1: vault 0 is
-  // the hot spot).
+  // Keys are uniform on [1, N], or Zipf(theta) with rank 0 -> key 1, so
+  // vault 0 is the hot spot. The generator is shared by the CPU actors:
+  // next() is const and the fibers run on one thread.
+  std::optional<ZipfGenerator> zipf;
+  if (cfg.zipf_theta > 0.0) zipf.emplace(cfg.key_range, cfg.zipf_theta);
+
   const Time third = cfg.duration_ns / 3;
+  std::uint64_t total_ops = 0;
   std::uint64_t before_ops = 0;
   std::uint64_t after_ops = 0;
   for (std::size_t i = 0; i < cfg.num_cpus; ++i) {
     engine.spawn("cpu" + std::to_string(i), [&, i](Context& ctx) {
       check::ThreadLog* log =
           cfg.recorder != nullptr ? &cfg.recorder->log(i) : nullptr;
-      ZipfGenerator zipf(cfg.key_range, cfg.zipf_theta);
       Slot reply;
       while (ctx.now() < cfg.duration_ns) {
-        const std::uint64_t key = zipf.next(ctx.rng()) + 1;
         const SetOp op = pick_op(ctx.rng(), cfg.mix);
-        if (log != nullptr) log->begin(check_op(op), key, ctx.now());
+        const std::uint64_t key = zipf.has_value()
+                                      ? zipf->next(ctx.rng()) + 1
+                                      : ctx.rng().next_in(1, cfg.key_range);
+        const Time issued = ctx.now();
+        const std::uint64_t rid =
+            obs::trace_enabled() ? obs::next_request_id() : 0;
+        if (log != nullptr) log->begin(check_op(op), key, issued);
         SkipListReply r;
         for (;;) {
+          // Route by the CPU-cached sentinel directory (Section 4.2): the
+          // sentinels are few and hot, so each lookup, a re-route after a
+          // rejection included, costs one LLC access: the issue phase.
+          const Time lookup = ctx.now();
+          ctx.charge(MemClass::kLlc);
+          obs::record_sim_phase(obs::Phase::kIssue, ctx.now() - lookup);
           Msg m;
           m.kind = Msg::Kind::kOp;
           m.op = op;
           m.key = key;
           m.reply = &reply;
+          m.issue_ns = ctx.now();
+          m.req = rid;
           host.vaults[dir.route(key)]->inbox.send(ctx, m);
           r = reply.await(ctx);
           if (r.accepted) break;
@@ -325,6 +384,11 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
         if (log != nullptr) {
           log->end(r.result ? check::kRetTrue : check::kRetFalse, ctx.now());
         }
+        obs::record_sim_phase(obs::Phase::kTotal, ctx.now() - issued);
+        if (rid != 0) {
+          ctx.trace_complete("op", issued, {"req", rid}, {"key", key});
+        }
+        ++total_ops;
         if (ctx.now() < third) {
           ++before_ops;
         } else if (ctx.now() >= 2 * third) {
@@ -498,64 +562,68 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
     }
   };
 
-  // The rebalancer: at t = duration/3, split the workload's quartiles off
-  // the hot range, one migration at a time (the Section 4.2.1 guard).
-  engine.spawn("rebalancer", [&](Context& ctx) {
-    if (cfg.rebalance && k > 1 &&
-        cfg.policy == RebalancePolicy::kActiveLoadMap) {
-      active_policy(ctx);
-    } else if (cfg.rebalance && k > 1) {
-      ctx.advance(static_cast<double>(third));
-      // Quantile estimate of the Zipf mass (operator-side knowledge).
-      Xoshiro256 rng(cfg.seed ^ 0x9a17ULL);
-      ZipfGenerator zipf(cfg.key_range, cfg.zipf_theta);
-      std::vector<std::uint64_t> sample(20000);
-      for (auto& s : sample) s = zipf.next(rng) + 1;
-      std::sort(sample.begin(), sample.end());
-      std::vector<std::uint64_t> splits;
-      for (std::size_t q = 1; q < k; ++q) {
-        std::uint64_t split = sample[q * sample.size() / k];
-        const std::uint64_t prev = splits.empty() ? 1 : splits.back();
-        if (split <= prev) split = prev + 1;
-        splits.push_back(split);
+  // The oracle: at t = duration/3, split the workload's quartiles off the
+  // hot range, one migration at a time (the Section 4.2.1 guard).
+  const auto oracle_policy = [&](Context& ctx) {
+    ctx.advance(static_cast<double>(third));
+    // Quantile estimate of the Zipf mass (operator-side knowledge).
+    Xoshiro256 rng(cfg.seed ^ 0x9a17ULL);
+    ZipfGenerator quantiles(cfg.key_range, cfg.zipf_theta);
+    std::vector<std::uint64_t> sample(20000);
+    for (auto& s : sample) s = quantiles.next(rng) + 1;
+    std::sort(sample.begin(), sample.end());
+    std::vector<std::uint64_t> splits;
+    for (std::size_t q = 1; q < k; ++q) {
+      std::uint64_t split = sample[q * sample.size() / k];
+      const std::uint64_t prev = splits.empty() ? 1 : splits.back();
+      if (split <= prev) split = prev + 1;
+      splits.push_back(split);
+    }
+    Slot reply;
+    // Descending split order: each range leaves the hot vault directly
+    // instead of cascading through every intermediate target.
+    for (std::size_t q = splits.size(); q-- > 0;) {
+      const std::size_t target = q + 1;
+      for (;;) {
+        if (host.migration_busy) {
+          ctx.advance(50'000);
+          ctx.sync();
+          continue;
+        }
+        ctx.sync();
+        const std::size_t source = dir.route(splits[q]);
+        if (source == target) break;
+        host.migration_busy = true;
+        if (host.migrate(ctx, source, splits[q], target, reply)) {
+          ++result.migrations;
+          if (ctx.now() >= 2 * third) ++result.migrations_late;
+          break;
+        }
+        host.migration_busy = false;
+        ctx.advance(50'000);
       }
-      Slot reply;
-      // Descending split order: each range leaves the hot vault directly
-      // instead of cascading through every intermediate target.
-      for (std::size_t qi = splits.size(); qi-- > 0;) {
-        const std::size_t q = qi;
-        const std::size_t target = q + 1;
-        for (;;) {
-          if (host.migration_busy) {
-            ctx.advance(50'000);
-            ctx.sync();
-            continue;
-          }
-          ctx.sync();
-          const std::size_t source = dir.route(splits[q]);
-          if (source == target) break;
-          host.migration_busy = true;
-          if (host.migrate(ctx, source, splits[q], target, reply)) {
-            ++result.migrations;
-            if (ctx.now() >= 2 * third) ++result.migrations_late;
-            break;
-          }
-          host.migration_busy = false;
-          ctx.advance(50'000);
-        }
-        // Wait for completion (kMigEnd clears the guard).
-        while (host.migration_busy) {
-          ctx.advance(50'000);
-          ctx.sync();
-        }
+      // Wait for completion (kMigEnd clears the guard).
+      while (host.migration_busy) {
+        ctx.advance(50'000);
+        ctx.sync();
       }
     }
-    // Counts as one "stop" so the cores can wind down.
-    host.stop_all(ctx);
-  });
+  };
+
+  if (has_policy) {
+    engine.spawn("rebalancer", [&](Context& ctx) {
+      if (cfg.policy == RebalancePolicy::kActiveLoadMap) {
+        active_policy(ctx);
+      } else {
+        oracle_policy(ctx);
+      }
+      host.stop_all(ctx);
+    });
+  }
 
   engine.run();
 
+  result.all = {total_ops, cfg.duration_ns};
   result.before = {before_ops, third};
   result.after = {after_ops, third};
   std::int64_t final_size = 0;
@@ -569,14 +637,26 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
     final_size +=
         static_cast<std::int64_t>(host.vaults[v]->handler.index().size());
   }
-  auto& registry = obs::Registry::instance();
-  registry.counter("sim.rebalance.migrated_keys").add(result.migrated_keys);
-  registry.counter("sim.rebalance.forwarded").add(result.forwarded);
-  registry.counter("sim.rebalance.deferred").add(result.deferred);
-  registry.counter("sim.rebalance.rejections").add(result.rejections);
+  // A run with no policy cannot migrate: it leaves the migration counters
+  // unregistered, so the paper benches' metrics do not list them.
+  if (has_policy) {
+    auto& registry = obs::Registry::instance();
+    registry.counter("sim.rebalance.migrated_keys").add(result.migrated_keys);
+    registry.counter("sim.rebalance.forwarded").add(result.forwarded);
+    registry.counter("sim.rebalance.deferred").add(result.deferred);
+    registry.counter("sim.rebalance.rejections").add(result.rejections);
+  }
   result.size_consistent =
       final_size == static_cast<std::int64_t>(cfg.initial_size) + net_adds;
   return result;
+}
+
+RunResult run_pim_skiplist(const SkipListConfig& cfg, std::size_t partitions) {
+  RebalanceConfig plain;
+  static_cast<SkipListConfig&>(plain) = cfg;
+  plain.partitions = partitions;
+  plain.policy = RebalancePolicy::kNone;
+  return run_pim_skiplist_rebalance(plain).all;
 }
 
 }  // namespace pimds::sim

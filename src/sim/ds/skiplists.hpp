@@ -7,6 +7,10 @@
 //   4. FC skip-list with k partitions      -> run_fc_skiplist(k)
 //   5. PIM skip-list with k partitions     -> run_pim_skiplist(k)
 //
+// run_pim_skiplist is run_pim_skiplist_rebalance's host with no policy
+// (RebalancePolicy::kNone): one simulated PIM skip list, whose cores run
+// core::SkipListVault, serves the paper rows and the migration runs.
+//
 // Partitioning (Figure 3): the key space [1, N] splits into k contiguous
 // ranges, each with a max-height sentinel pinned at its lower bound; a CPU
 // routes each operation by comparing against the (cached) sentinels.
@@ -50,11 +54,6 @@ RunResult run_lockfree_skiplist(const SkipListConfig& cfg);
 RunResult run_fc_skiplist(const SkipListConfig& cfg, std::size_t partitions);
 RunResult run_pim_skiplist(const SkipListConfig& cfg, std::size_t partitions);
 
-/// Section 4.2.1 at full scale: the PIM skip-list under a Zipf-skewed
-/// workload, with the non-blocking node-migration protocol (source keeps
-/// serving: not-yet-migrated keys locally, already-migrated keys by
-/// forwarding; target defers racing direct requests until the hand-over
-/// completes; CPUs re-route after rejection).
 /// Deliberately broken migration variants (Section 4.2.1) for checker
 /// mutation testing; each MUST be flagged by the linearizability checker.
 /// kStaleServe, kNoDefer and kDirectoryBeforeGrant act through
@@ -104,6 +103,9 @@ enum class RebalanceFault : std::uint8_t {
 
 /// Who drives migrations in run_pim_skiplist_rebalance.
 enum class RebalancePolicy : std::uint8_t {
+  /// No migrations: the static partitions of Section 4.2 (run_pim_skiplist
+  /// and the no-rebalance controls).
+  kNone,
   /// Operator actor with workload-quantile knowledge splits the hot range
   /// at t = duration/3 (the historical scripted scenario).
   kOracle,
@@ -116,20 +118,19 @@ enum class RebalancePolicy : std::uint8_t {
   kActiveLoadMap,
 };
 
-struct RebalanceConfig {
-  LatencyParams params = LatencyParams::paper_defaults();
-  std::uint64_t seed = 1;
-  std::size_t num_cpus = 16;
+/// The skip-list workload of SkipListConfig with a Zipf-skewed default,
+/// plus the migration settings.
+struct RebalanceConfig : SkipListConfig {
+  RebalanceConfig() {
+    num_cpus = 16;
+    duration_ns = 60'000'000;
+    key_range = 1 << 16;
+    initial_size = 1 << 15;
+    zipf_theta = 0.99;
+  }
+
   std::size_t partitions = 4;
-  std::uint64_t key_range = 1 << 16;
-  std::size_t initial_size = 1 << 15;
-  SetOpMix mix{};
-  double zipf_theta = 0.99;
-  Time duration_ns = 60'000'000;
-  /// When true, a rebalancer actor splits the workload's quartile ranges
-  /// off the hot partition at t = duration/3 (migration chunk below).
-  bool rebalance = true;
-  std::size_t migrate_chunk = 32;
+  std::size_t migrate_chunk = 32;  ///< keys moved per migration step
   RebalanceFault fault = RebalanceFault::kNone;  ///< mutation testing only
   RebalancePolicy policy = RebalancePolicy::kOracle;
   /// Active-policy window length (virtual ns); also the sampling period of
@@ -143,11 +144,6 @@ struct RebalanceConfig {
   std::uint64_t min_window_ops = 200;
   /// Safety valve on active-policy migrations.
   std::size_t max_migrations = ~std::size_t{0};
-  /// Schedule perturbation for adversarial exploration (check/explore.hpp).
-  Engine::Perturbation perturb{};
-  /// Optional history recording (check/): CPU i -> log(i), setup inserts ->
-  /// log(num_cpus); pass a recorder with num_cpus + 1 logs.
-  check::HistoryRecorder* recorder = nullptr;
 };
 
 /// One sampled window of the per-vault load series (every policy_period_ns,
@@ -160,6 +156,7 @@ struct RebalanceWindow {
 };
 
 struct RebalanceResult {
+  RunResult all;     ///< every op completed, over duration_ns
   RunResult before;  ///< ops completed in [0, duration/3)
   RunResult after;   ///< ops completed in [2*duration/3, duration)
   std::vector<std::uint64_t> final_requests_per_vault;
@@ -187,6 +184,11 @@ struct RebalanceResult {
   }
 };
 
+/// Section 4.2.1 at full scale: the PIM skip-list under a Zipf-skewed
+/// workload, with the non-blocking node-migration protocol (source keeps
+/// serving: not-yet-migrated keys locally, already-migrated keys by
+/// forwarding; target defers racing direct requests until the hand-over
+/// completes; CPUs re-route after rejection).
 RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg);
 
 }  // namespace pimds::sim

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,6 +116,39 @@ TEST(SimAttribution, SkiplistPhasesTileEndToEndLatency) {
   // send, so its issue phase is nonzero.
   using obs::Phase;
   EXPECT_GT(rep.sim.phase_ns[static_cast<int>(Phase::kIssue)], 0.0);
+}
+
+// The migration run is the same host: every directory lookup, re-routes
+// after a rejection included, is charged and attributed, and every
+// completed op records one total. Its coverage is reported, not banded:
+// a forwarded op's second hop and a deferred op's wait are nobody's phase,
+// while a rejected attempt adds phases of its own.
+TEST(SimAttribution, MigrationRunRecordsPhases) {
+  obs::Registry::instance().reset();
+  sim::RebalanceConfig cfg;
+  cfg.num_cpus = 8;
+  cfg.partitions = 4;
+  cfg.key_range = 1 << 12;
+  cfg.initial_size = 1 << 11;
+  cfg.duration_ns = 6'000'000;
+  cfg.migrate_chunk = 2;
+  const sim::RebalanceResult r = sim::run_pim_skiplist_rebalance(cfg);
+  ASSERT_GT(r.migrations, 0u);
+
+  const obs::AttributionReport rep = fresh_report();
+  ASSERT_TRUE(rep.sim.present);
+  using obs::Phase;
+  EXPECT_GT(rep.sim.phase_ns[static_cast<int>(Phase::kIssue)], 0.0);
+  EXPECT_EQ(rep.sim.phase_count[static_cast<int>(Phase::kTotal)],
+            r.all.total_ops);
+  std::printf("migration run: %llu ops, %llu rejected / %llu forwarded / "
+              "%llu deferred attempts, phase coverage %.1f%%\n",
+              static_cast<unsigned long long>(r.all.total_ops),
+              static_cast<unsigned long long>(r.rejections),
+              static_cast<unsigned long long>(r.forwarded),
+              static_cast<unsigned long long>(r.deferred),
+              rep.sim.coverage_pct);
+  RecordProperty("coverage_pct", std::to_string(rep.sim.coverage_pct));
 }
 
 // Real threads: phases tile up to scheduler noise. Combining is off so

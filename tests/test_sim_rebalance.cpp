@@ -28,7 +28,7 @@ TEST(SimRebalance, MigrationImprovesSkewedThroughput) {
   const test::SimSeed seed(cfg.seed);
   cfg.seed = seed;
   const RebalanceResult with = run_pim_skiplist_rebalance(cfg);
-  cfg.rebalance = false;
+  cfg.policy = RebalancePolicy::kNone;
   const RebalanceResult without = run_pim_skiplist_rebalance(cfg);
   EXPECT_TRUE(with.size_consistent);
   EXPECT_TRUE(without.size_consistent);
@@ -109,7 +109,7 @@ TEST(ActiveRebalance, CutsPeakImbalanceAtLeastTwofold) {
     RebalanceConfig cfg = active_config(seed);
     const Time d = cfg.duration_ns;
     RebalanceConfig control = cfg;
-    control.rebalance = false;
+    control.policy = RebalancePolicy::kNone;
     const RebalanceResult with = run_pim_skiplist_rebalance(cfg);
     const RebalanceResult without = run_pim_skiplist_rebalance(control);
     ASSERT_GT(with.migrations, 0u);
