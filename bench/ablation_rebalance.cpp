@@ -116,10 +116,10 @@ int main(int argc, char** argv) {
     before = measure("static partitions (skewed)", 1.0);
     core::AutoRebalancer::Options act_opts;
     act_opts.period = std::chrono::milliseconds(100);
-    act_opts.imbalance_ratio = 1.5;
+    act_opts.trigger.imbalance_enter = 1.5;
     act_opts.imbalance_exit = 1.3;
-    act_opts.cooldown_periods = 1;
-    act_opts.min_window_ops = 200;
+    act_opts.trigger.cooldown_periods = 1;
+    act_opts.trigger.min_window_ops = 200;
     act_opts.adaptive_combining = true;
     core::AutoRebalancer rebalancer(list, act_opts);
     rebalancer.start();

@@ -1,7 +1,7 @@
 #include "common/zipf.hpp"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace pimds {
 
@@ -15,8 +15,10 @@ double ZipfGenerator::zeta(std::uint64_t n, double theta) {
 
 ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta)
     : n_(n), theta_(theta) {
-  assert(n >= 1);
-  assert(theta >= 0.0 && theta < 1.0);
+  if (n == 0 || !(theta >= 0.0) || theta == 1.0) {
+    throw std::invalid_argument(
+        "ZipfGenerator: needs n >= 1 and theta >= 0, theta != 1");
+  }
   zetan_ = zeta(n_, theta_);
   const double zeta2 = zeta(2, theta_);
   alpha_ = 1.0 / (1.0 - theta_);

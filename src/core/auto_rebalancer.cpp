@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 
 #include "obs/metrics.hpp"
 
@@ -44,6 +45,7 @@ obs::Gauge& settled_gauge() {
 AutoRebalancer::AutoRebalancer(PimSkipList& list, Options options)
     : list_(list),
       options_(options),
+      step_(options.trigger),
       combining_on_(list.loadmap().options().num_ranges, 0) {}
 
 AutoRebalancer::AutoRebalancer(PimSkipList& list)
@@ -75,80 +77,12 @@ obs::LoadMap::HotVaultReport AutoRebalancer::last_report() const {
   return last_report_;
 }
 
-bool AutoRebalancer::partition_span(std::uint64_t key, std::uint64_t& lo,
-                                    std::uint64_t& hi,
-                                    std::size_t& vault) const {
-  const auto partitions = list_.partitions();
-  for (std::size_t i = 0; i < partitions.size(); ++i) {
-    const std::uint64_t p_lo = partitions[i].sentinel;
-    const std::uint64_t p_hi = i + 1 < partitions.size()
-                                   ? partitions[i + 1].sentinel
-                                   : list_.options().key_max + 1;
-    if (key >= p_lo && key < p_hi) {
-      lo = p_lo;
-      hi = p_hi;
-      vault = partitions[i].vault;
-      return true;
-    }
-  }
-  return false;
-}
-
-std::uint64_t AutoRebalancer::suggest_split(
-    const obs::LoadMap::HotVaultReport& rep, std::size_t hot) const {
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  std::size_t owner = 0;
-  // 1) Single dominant hot key: when the sketch's top entry holds at least
-  // half the tracked mass, the hot "range" is really one key. A midpoint
-  // split relocates or keeps the whole spot; splitting at the key's
-  // SUCCESSOR keeps only the hot key on the source and sheds everything
-  // above it, which is the best a suffix migration can do.
-  if (!rep.hot_keys.empty()) {
-    std::uint64_t mass = 0;
-    for (const auto& k : rep.hot_keys) mass += k.count;
-    const auto& top = rep.hot_keys[0];
-    if (mass > 0 && top.count * 2 >= mass &&
-        partition_span(top.key, lo, hi, owner) && owner == hot &&
-        top.key + 1 < hi && top.key + 1 <= list_.options().key_max) {
-      return top.key + 1;
-    }
-  }
-  // 2) Midpoint of the hottest key range that falls inside a partition the
-  // hot vault owns: splitting just below the hot spot moves it, where the
-  // blind widest-partition midpoint may leave it in place.
-  for (const auto& r : rep.hot_ranges) {
-    const std::uint64_t mid = r.lo + (r.hi - r.lo) / 2;
-    if (partition_span(mid, lo, hi, owner) && owner == hot && mid > lo) {
-      return mid;
-    }
-  }
-  // 3) Fallback: midpoint of the hot vault's widest partition.
-  const auto partitions = list_.partitions();
-  std::uint64_t best_lo = 0;
-  std::uint64_t best_hi = 0;
-  for (std::size_t i = 0; i < partitions.size(); ++i) {
-    if (partitions[i].vault != hot) continue;
-    const std::uint64_t p_lo = partitions[i].sentinel;
-    const std::uint64_t p_hi = i + 1 < partitions.size()
-                                   ? partitions[i + 1].sentinel
-                                   : list_.options().key_max + 1;
-    if (p_hi - p_lo > best_hi - best_lo) {
-      best_lo = p_lo;
-      best_hi = p_hi;
-    }
-  }
-  return best_lo + (best_hi - best_lo) / 2;
-}
-
 void AutoRebalancer::update_combining(
     const obs::LoadMap::HotVaultReport& rep) {
   if (rep.window_ops == 0) return;
   const double total = static_cast<double>(rep.window_ops);
-  // Window share per range on the LoadMap grid; a range absent from the
-  // top-k hot_ranges is treated as share 0 (it is at most as hot as the
-  // coldest reported range — good enough for the OFF decision, and the
-  // enter/exit band absorbs the approximation).
+  // Window share per range on the LoadMap grid (the report lists every
+  // range the window touched).
   std::vector<double> share(combining_on_.size(), 0.0);
   obs::LoadMap& lm = list_.loadmap();
   for (const auto& r : rep.hot_ranges) {
@@ -188,87 +122,52 @@ void AutoRebalancer::account_migrated_keys() {
   }
 }
 
-void AutoRebalancer::tick_observe() {
-  obs::LoadMap::HotVaultReport rep = list_.loadmap().report();
-  if (rep.window_ops < options_.min_window_ops) return;
-  const bool trigger = rep.hottest != rep.coldest &&
-                       rep.imbalance_ratio >= options_.imbalance_ratio;
-  {
-    std::lock_guard<std::mutex> lock(report_mu_);
-    last_report_ = rep;
-  }
-  if (!trigger) return;
-  would_trigger_.fetch_add(1, std::memory_order_relaxed);
-  would_trigger_counter().add(1);
-  if (options_.log_decisions) {
-    const std::uint64_t split = suggest_split(rep, rep.hottest);
-    std::fprintf(stderr,
-                 "[auto_rebalancer] would-trigger: %s; would migrate "
-                 "[%llu, end of partition) -> vault %zu (threshold %.2f)\n",
-                 rep.summary().c_str(),
-                 static_cast<unsigned long long>(split), rep.coldest,
-                 options_.imbalance_ratio);
-  }
-}
-
-void AutoRebalancer::tick_active() {
-  obs::LoadMap::HotVaultReport rep = list_.loadmap().report();
-  {
-    std::lock_guard<std::mutex> lock(report_mu_);
-    last_report_ = rep;
-  }
-  if (cooldown_.size() != rep.per_vault_ops.size()) {
-    cooldown_.assign(rep.per_vault_ops.size(), 0);
-  }
-  for (auto& c : cooldown_) {
-    if (c > 0) --c;
-  }
+void AutoRebalancer::tick() {
+  const obs::LoadMap::HotVaultReport rep = list_.loadmap().report();
   account_migrated_keys();
-  if (options_.adaptive_combining) update_combining(rep);
-  if (rep.window_ops < options_.min_window_ops) return;  // noise floor
-  const bool settled = rep.imbalance_ratio < options_.imbalance_exit;
-  settled_.store(settled, std::memory_order_relaxed);
-  settled_gauge().set(settled ? 1 : 0);
-  if (rep.hottest == rep.coldest) return;
-  if (rep.imbalance_ratio < options_.imbalance_ratio) return;  // below ENTER
-  if (cooldown_[rep.hottest] > 0) return;  // recent source is cooling down
-  if (list_.migration_active()) return;    // one migration at a time
-  if (migrations_.load(std::memory_order_relaxed) >=
-      options_.max_migrations) {
-    return;
+  if (options_.adaptive_combining && !options_.observe_only) {
+    update_combining(rep);
   }
-  const std::uint64_t split = suggest_split(rep, rep.hottest);
-  std::uint64_t lo = 0;
-  std::uint64_t hi = 0;
-  std::size_t owner = 0;
-  if (!partition_span(split, lo, hi, owner) || owner != rep.hottest ||
-      split <= lo) {
-    // A split at (or below) the partition's own sentinel would move the
-    // WHOLE partition — relocating the hot spot instead of dividing it,
-    // which is the thrash shape. Nothing splittable this window.
-    return;
+  if (rep.window_ops >= options_.trigger.min_window_ops) {
+    {
+      std::lock_guard<std::mutex> lock(report_mu_);
+      last_report_ = rep;
+    }
+    const bool settled = rep.imbalance_ratio < options_.imbalance_exit;
+    settled_.store(settled, std::memory_order_relaxed);
+    settled_gauge().set(settled ? 1 : 0);
   }
-  if (list_.migrate(split, rep.coldest)) {
-    migrations_.fetch_add(1, std::memory_order_relaxed);
-    triggered_counter().add(1);
-    cooldown_[rep.hottest] = options_.cooldown_periods;
+  const SentinelDirectory& dir = list_.directory();
+  const std::optional<RebalanceMove> move = step_.decide(
+      rep, dir, list_.options().key_max, list_.migration_active());
+  if (!move) return;
+  if (options_.observe_only) {
+    would_trigger_.fetch_add(1, std::memory_order_relaxed);
+    would_trigger_counter().add(1);
     if (options_.log_decisions) {
       std::fprintf(stderr,
-                   "[auto_rebalancer] trigger: %s; migrating [%llu, %llu) "
-                   "vault %zu -> vault %zu\n",
+                   "[auto_rebalancer] would-trigger: %s; would migrate "
+                   "[%llu, end of partition) -> vault %zu (threshold %.2f)\n",
                    rep.summary().c_str(),
-                   static_cast<unsigned long long>(split),
-                   static_cast<unsigned long long>(hi), rep.hottest,
-                   rep.coldest);
+                   static_cast<unsigned long long>(move->split), move->target,
+                   options_.trigger.imbalance_enter);
     }
+    return;
   }
-}
-
-void AutoRebalancer::tick() {
-  if (options_.observe_only) {
-    tick_observe();
-  } else {
-    tick_active();
+  const std::uint64_t hi = std::min(dir.partition_of(move->split).hi,
+                                    list_.options().key_max + 1);
+  if (!list_.migrate(move->split, move->target)) return;
+  step_.migrated(*move);
+  migrations_.fetch_add(1, std::memory_order_relaxed);
+  triggered_counter().add(1);
+  if (options_.log_decisions) {
+    std::fprintf(stderr,
+                 "[auto_rebalancer] trigger: %s; migrating [%llu, %llu) "
+                 "vault %zu -> vault %zu\n",
+                 rep.summary().c_str(),
+                 static_cast<unsigned long long>(move->split),
+                 static_cast<unsigned long long>(hi), move->source,
+                 move->target);
   }
 }
 

@@ -1,22 +1,17 @@
-// Automatic rebalancing policy for the PIM skip-list (Section 4.2.1 left
-// the trigger policy open: "we expect that rebalancing will not happen very
-// frequently"). The policy thread consumes the skip-list LoadMap's windowed
-// HotVaultReport (per-vault op windows, hot key ranges, SpaceSaving hot
-// keys) once per period and closes the control loop:
+// Automatic rebalancing policy thread for the PIM skip-list (Section 4.2.1
+// left the trigger policy open: "we expect that rebalancing will not happen
+// very frequently"). Once per period the thread takes the skip-list
+// LoadMap's windowed HotVaultReport and asks the decision step
+// (core/rebalance_step.hpp — the same step the simulator's active policy
+// runs) whether to migrate:
 //
-//  - active (default): when a window is eligible (>= min_window_ops) and
-//    the hottest vault exceeds `imbalance_enter` x mean, pick a split key
-//    from the report (hottest-range midpoint, or the top hot key's
-//    successor when one key dominates the sketch) and drive the Section
-//    4.2.1 migration protocol via PimSkipList::migrate(split, coldest).
-//    Hysteresis so the loop cannot thrash: an enter/exit threshold band
-//    (trigger at >= enter; the system only counts as settled again below
-//    exit — the `rebalancer.settled` gauge), a per-vault cooldown of
-//    `cooldown_periods` windows after a vault was the migration source
-//    (its next windows still contain pre-migration traffic), the
-//    min_window_ops noise floor, and at most one migration in flight
-//    (migration_busy_ is polled, never queued against).
-//  - observe-only: same decision pipeline, but LOG would-trigger lines
+//  - active (default): a decision drives the Section 4.2.1 migration
+//    protocol via PimSkipList::migrate(split, coldest); an accepted one
+//    starts its source's cooldown. The step holds the hysteresis (enter
+//    threshold, per-vault cooldown, noise floor, one migration at a time);
+//    this thread adds the EXIT side of the band: the system only counts as
+//    settled again below `imbalance_exit` (the `rebalancer.settled` gauge).
+//  - observe-only: same decisions, but LOG would-trigger lines
 //    (`rebalancer.would_trigger` counter + stderr) without migrating —
 //    the staging mode for trusting the policy before flipping it on.
 //
@@ -35,6 +30,7 @@
 #include <vector>
 
 #include "core/pim_skiplist.hpp"
+#include "core/rebalance_step.hpp"
 #include "obs/loadmap.hpp"
 
 namespace pimds::core {
@@ -42,24 +38,14 @@ namespace pimds::core {
 class AutoRebalancer {
  public:
   struct Options {
-    /// Trigger when the hottest vault served more than `imbalance_ratio`
-    /// times the mean request rate during the last window (the ENTER side
-    /// of the hysteresis band).
-    double imbalance_ratio = 2.0;
-    /// The EXIT side: the system reports settled (and adaptive combining
-    /// may disengage globally) only once imbalance falls below this.
-    /// Inside [exit, enter) nothing changes state — no flapping around a
-    /// single threshold.
+    /// The decision step's gates: enter threshold, cooldown, noise floor,
+    /// migration cap.
+    RebalanceOptions trigger;
+    /// The EXIT side: the system reports settled only once imbalance falls
+    /// below this. Inside [exit, enter) nothing changes state — no flapping
+    /// around a single threshold.
     double imbalance_exit = 1.5;
     std::chrono::milliseconds period{50};
-    /// After a vault sourced a migration, skip it as a source for this
-    /// many windows: its next report windows still mix pre-migration
-    /// traffic, and re-triggering on them is how a rebalancer thrashes.
-    std::size_t cooldown_periods = 2;
-    /// Safety valve for tests/demos.
-    std::size_t max_migrations = ~std::size_t{0};
-    /// Don't judge windows with fewer total ops than this (noise floor).
-    std::uint64_t min_window_ops = 100;
     /// Decide from the LoadMap and log would-trigger lines, never migrate.
     bool observe_only = false;
     /// Print one stderr line per trigger / would-trigger decision.
@@ -102,33 +88,14 @@ class AutoRebalancer {
     return settled_.load(std::memory_order_relaxed);
   }
 
-  /// Copy of the LoadMap report behind the latest decision window.
+  /// Copy of the LoadMap report of the latest window the step judged
+  /// (at least min_window_ops ops).
   obs::LoadMap::HotVaultReport last_report() const;
-
-  /// Split key for a (would-)trigger decision; public so the policy is
-  /// testable without timing. Preference order:
-  ///  1. the SpaceSaving top hot key's SUCCESSOR, when that one key
-  ///     dominates the sketch (>= half its tracked mass) and lies in a
-  ///     partition the hot vault owns — a midpoint split would either
-  ///     leave the hot key where it is or relocate the whole hot spot,
-  ///     while splitting just above it isolates the key and sheds the
-  ///     rest of the partition;
-  ///  2. the midpoint of the hottest key range owned by the hot vault;
-  ///  3. the midpoint of the hot vault's widest partition.
-  std::uint64_t suggest_split(const obs::LoadMap::HotVaultReport& rep,
-                              std::size_t hot) const;
 
  private:
   void tick();
-  void tick_observe();
-  void tick_active();
   void update_combining(const obs::LoadMap::HotVaultReport& rep);
   void account_migrated_keys();
-  /// [lo, hi) of the partition containing `key` plus its owner; hi is
-  /// key_max + 1 for the last partition. Returns false if key is below
-  /// every sentinel (cannot happen for in-range keys).
-  bool partition_span(std::uint64_t key, std::uint64_t& lo,
-                      std::uint64_t& hi, std::size_t& vault) const;
 
   PimSkipList& list_;
   Options options_;
@@ -136,7 +103,7 @@ class AutoRebalancer {
   std::atomic<std::size_t> migrations_{0};
   std::atomic<std::size_t> would_trigger_{0};
   std::atomic<bool> settled_{true};
-  std::vector<std::size_t> cooldown_;       // per-vault windows remaining
+  RebalanceStep<> step_;
   std::vector<std::uint8_t> combining_on_;  // per-range, policy view
   std::uint64_t last_migrated_keys_ = 0;
   mutable std::mutex report_mu_;

@@ -72,6 +72,7 @@ class PimSkipList {
   std::vector<SentinelDirectory::Entry> partitions() const {
     return directory_.snapshot();
   }
+  const SentinelDirectory& directory() const noexcept { return directory_; }
 
   /// Per-vault / per-key-range load accounting fed from the vault service
   /// path ("skiplist.vault<k>.ops" in the registry); report() answers

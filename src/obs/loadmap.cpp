@@ -18,7 +18,6 @@ LoadMap::LoadMap(Options opts) : opts_(std::move(opts)) {
   }
   ranges_ = std::make_unique<CachePadded<std::atomic<std::uint64_t>>[]>(
       opts_.num_vaults * opts_.num_ranges);
-  last_vault_ops_.assign(opts_.num_vaults, 0);
   last_range_ops_.assign(opts_.num_vaults * opts_.num_ranges, 0);
   if (!opts_.registry_prefix.empty()) {
     Registry& reg = Registry::instance();
@@ -72,14 +71,23 @@ void LoadMap::sketch_update(Shard& s, std::uint64_t key) noexcept {
 LoadMap::HotVaultReport LoadMap::report() {
   std::lock_guard<std::mutex> lock(report_mu_);
   HotVaultReport rep;
-  rep.per_vault_ops.resize(opts_.num_vaults);
-  for (std::size_t v = 0; v < opts_.num_vaults; ++v) {
-    const std::uint64_t cur = shards_[v]->ops.value();
-    rep.per_vault_ops[v] =
-        cur >= last_vault_ops_[v] ? cur - last_vault_ops_[v] : cur;
-    last_vault_ops_[v] = cur;
-    rep.window_ops += rep.per_vault_ops[v];
+  // Window ops per range (all vaults) and per vault (all its ranges).
+  rep.per_vault_ops.assign(opts_.num_vaults, 0);
+  std::vector<RangeLoad> loads;
+  for (std::size_t r = 0; r < opts_.num_ranges; ++r) {
+    std::uint64_t window = 0;
+    for (std::size_t v = 0; v < opts_.num_vaults; ++v) {
+      const std::size_t i = v * opts_.num_ranges + r;
+      const std::uint64_t cur =
+          ranges_[i].value.load(std::memory_order_relaxed);
+      const std::uint64_t d = cur - last_range_ops_[i];
+      last_range_ops_[i] = cur;
+      rep.per_vault_ops[v] += d;
+      window += d;
+    }
+    if (window > 0) loads.push_back({range_lo(r), range_hi(r), window});
   }
+  for (const std::uint64_t ops : rep.per_vault_ops) rep.window_ops += ops;
   const auto hot = std::max_element(rep.per_vault_ops.begin(),
                                     rep.per_vault_ops.end());
   const auto cold = std::min_element(rep.per_vault_ops.begin(),
@@ -94,45 +102,26 @@ LoadMap::HotVaultReport LoadMap::report() {
       rep.mean_ops > 0.0 ? static_cast<double>(rep.hottest_ops) / rep.mean_ops
                          : 0.0;
 
-  // Top-k hottest key ranges this window (across all vaults).
-  std::vector<RangeLoad> loads;
-  loads.reserve(opts_.num_ranges);
-  for (std::size_t r = 0; r < opts_.num_ranges; ++r) {
-    std::uint64_t window = 0;
-    for (std::size_t v = 0; v < opts_.num_vaults; ++v) {
-      const std::size_t i = v * opts_.num_ranges + r;
-      const std::uint64_t cur =
-          ranges_[i].value.load(std::memory_order_relaxed);
-      window += cur >= last_range_ops_[i] ? cur - last_range_ops_[i] : cur;
-      last_range_ops_[i] = cur;
-    }
-    if (window > 0) loads.push_back({range_lo(r), range_hi(r), window});
-  }
-  std::sort(loads.begin(), loads.end(),
-            [](const RangeLoad& a, const RangeLoad& b) {
-              return a.ops > b.ops;
-            });
-  if (loads.size() > opts_.top_k) loads.resize(opts_.top_k);
+  std::stable_sort(loads.begin(), loads.end(),
+                   [](const RangeLoad& a, const RangeLoad& b) {
+                     return a.ops > b.ops;
+                   });
   rep.hot_ranges = std::move(loads);
 
-  // Top-k hot keys from the merged per-vault sketches (cumulative counts;
-  // SpaceSaving does not support windowed subtraction).
-  std::vector<KeyLoad> keys;
-  for (std::size_t v = 0; v < opts_.num_vaults; ++v) {
-    for (std::size_t i = 0; i < opts_.sketch_entries; ++i) {
-      const SketchEntry& e = shards_[v]->sketch[i];
-      const std::uint64_t c = e.count.load(std::memory_order_relaxed);
-      if (c > 0) {
-        keys.push_back({e.key.load(std::memory_order_relaxed), c});
-      }
+  // The hottest vault's sketch (cumulative counts; SpaceSaving does not
+  // support windowed subtraction).
+  const Shard& s = *shards_[rep.hottest];
+  for (std::size_t i = 0; i < opts_.sketch_entries; ++i) {
+    const std::uint64_t c = s.sketch[i].count.load(std::memory_order_relaxed);
+    if (c > 0) {
+      rep.hot_keys.push_back(
+          {s.sketch[i].key.load(std::memory_order_relaxed), c});
     }
   }
-  std::sort(keys.begin(), keys.end(),
-            [](const KeyLoad& a, const KeyLoad& b) {
-              return a.count > b.count;
-            });
-  if (keys.size() > opts_.top_k) keys.resize(opts_.top_k);
-  rep.hot_keys = std::move(keys);
+  std::stable_sort(rep.hot_keys.begin(), rep.hot_keys.end(),
+                   [](const KeyLoad& a, const KeyLoad& b) {
+                     return a.count > b.count;
+                   });
   return rep;
 }
 
@@ -145,7 +134,7 @@ std::string LoadMap::HotVaultReport::summary() const {
           : 0.0;
   std::snprintf(buf, sizeof(buf),
                 "hot vault %zu (%.1f%% of %llu ops, ratio %.2f), cold vault "
-                "%zu, %zu hot ranges",
+                "%zu, %zu ranges in the window",
                 hottest, share,
                 static_cast<unsigned long long>(window_ops), imbalance_ratio,
                 coldest, hot_ranges.size());

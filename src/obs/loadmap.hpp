@@ -1,15 +1,18 @@
-// Per-vault / per-key-range load accounting + heavy-hitter sketch
-// (observability layer; consumed by core/auto_rebalancer's observe-only
-// mode and exported through the metrics registry / telemetry JSONL).
+// Per-vault / per-key-range load accounting + heavy-hitter sketch: the
+// input of the rebalancing policy (core/rebalance_step.hpp, run by the
+// runtime's AutoRebalancer and the simulator's active policy), also
+// exported through the metrics registry / telemetry JSONL.
 //
 // Hot path (`record(vault, key)`, called on the vault service path):
 //  - one relaxed fetch_add on the vault's op Counter (registered with the
 //    Registry as "<prefix>.vault<k>.ops", so the telemetry sampler exports
-//    per-vault load without extra plumbing),
+//    per-vault load without extra plumbing) — telemetry only, so it counts
+//    only while metrics_enabled(),
 //  - one relaxed fetch_add on the key-range bucket covering `key`
 //    (fixed equal-width grid over [key_min, key_max]),
 //  - a SpaceSaving-style top-k sketch update for the owning vault.
-// Everything is gated on metrics_enabled() and allocation-free.
+// The range cells and the sketch are the policy's input, so they count
+// whether or not metrics are on. Allocation-free.
 //
 // Concurrency contract: each vault's slots are written by that vault's
 // single service thread (the runtime gives every vault one core thread),
@@ -18,10 +21,11 @@
 // registry) are TSan-clean. Racy reads may see a sketch entry mid-replace;
 // heavy-hitter counts are approximate by construction, so that is fine.
 //
-// report() answers windowed questions — it diffs against the counts at the
-// previous report() call (cold-path mutex) and returns a HotVaultReport:
-// hottest/coldest vault, imbalance ratio (hottest / mean), top-k hottest
-// key ranges and hot keys.
+// report() answers windowed questions — it diffs the range cells against
+// their counts at the previous report() call (cold-path mutex) and returns
+// a HotVaultReport: per-vault window ops (the sum of the vault's range
+// cells), hottest/coldest vault, imbalance ratio (hottest / mean), every
+// range the window touched and the hottest vault's hot keys.
 #pragma once
 
 #include <atomic>
@@ -47,8 +51,6 @@ class LoadMap {
     std::size_t num_ranges = 64;
     /// SpaceSaving slots per vault (top hot keys tracked).
     std::size_t sketch_entries = 8;
-    /// How many hot ranges / hot keys a report returns.
-    std::size_t top_k = 4;
     /// Registry prefix for the per-vault op counters ("<prefix>.vault<k>.ops");
     /// empty disables registration (pure in-memory use, e.g. unit tests).
     std::string registry_prefix = "loadmap";
@@ -75,8 +77,11 @@ class LoadMap {
     /// hottest / mean; 0 when the window saw no traffic.
     double imbalance_ratio = 0.0;
     std::vector<std::uint64_t> per_vault_ops;
-    std::vector<RangeLoad> hot_ranges;  // window, hottest first
-    std::vector<KeyLoad> hot_keys;      // cumulative sketch, hottest first
+    /// Every range with window ops, hottest first (ties: lower keys first).
+    std::vector<RangeLoad> hot_ranges;
+    /// The hottest vault's sketch (cumulative), hottest first (ties: slot
+    /// order); its counts sum to every op that vault ever recorded.
+    std::vector<KeyLoad> hot_keys;
     std::string summary() const;        // one human-readable line
   };
 
@@ -87,10 +92,9 @@ class LoadMap {
 
   /// Hot path; `vault` out of range is clamped, any key accepted.
   void record(std::size_t vault, std::uint64_t key) noexcept {
-    if (!metrics_enabled()) return;
     if (vault >= opts_.num_vaults) vault = opts_.num_vaults - 1;
     Shard& s = *shards_[vault];
-    s.ops.add(1);
+    s.ops.add(1);  // telemetry only: Counter::add checks metrics_enabled()
     ranges_[vault * opts_.num_ranges + range_of(key)].value.fetch_add(
         1, std::memory_order_relaxed);
     sketch_update(s, key);
@@ -99,7 +103,8 @@ class LoadMap {
   /// Windowed report relative to the previous report() call (cold path).
   HotVaultReport report();
 
-  /// Cumulative ops for one vault (the same counter telemetry exports).
+  /// Cumulative ops for one vault (the counter telemetry exports; it stays
+  /// at zero while metrics are off).
   std::uint64_t vault_ops(std::size_t vault) const noexcept {
     return vault < opts_.num_vaults ? shards_[vault]->ops.value() : 0;
   }
@@ -143,7 +148,6 @@ class LoadMap {
   std::vector<Registry::Handle> reg_handles_;
 
   std::mutex report_mu_;
-  std::vector<std::uint64_t> last_vault_ops_;
   std::vector<std::uint64_t> last_range_ops_;
 };
 

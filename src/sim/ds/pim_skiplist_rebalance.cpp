@@ -8,20 +8,23 @@
 // this host decodes its messages, routes CPUs through a
 // core::SentinelDirectory, attributes each request's latency to phases
 // (obs/phase.hpp), and runs the window monitor and the oracle and active
-// rebalancing policies. RebalanceFault's protocol mutants are the
-// handler's Fault hook (MigrationFault below); kThrash and kSplitOffByOne
-// are policy mutants and live in the active policy.
+// rebalancing policies. The active policy is core::RebalanceStep, the
+// decision the runtime's AutoRebalancer runs, over an obs::LoadMap.
+// RebalanceFault's mutants are the two Fault hooks (SimFault below): the
+// protocol mutants are the handler's, kThrash and kSplitOffByOne the
+// step's.
 #include <algorithm>
-#include <array>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/zipf.hpp"
+#include "core/rebalance_step.hpp"
 #include "core/sentinel_directory.hpp"
 #include "core/skip_list.hpp"
 #include "core/skip_list_vault.hpp"
+#include "obs/loadmap.hpp"
 #include "obs/obs.hpp"
 #include "sim/ds/skiplists.hpp"
 #include "sim/mailbox.hpp"
@@ -53,8 +56,9 @@ struct TowerIndex : core::SkipList {
   Xoshiro256* rng = nullptr;
 };
 
-/// RebalanceFault's protocol mutants as SkipListVault's Fault hook.
-struct MigrationFault {
+/// RebalanceFault's mutants as SkipListVault's and RebalanceStep's Fault
+/// hooks.
+struct SimFault {
   RebalanceFault kind = RebalanceFault::kNone;
   const core::SentinelDirectory* directory = nullptr;
 
@@ -77,9 +81,15 @@ struct MigrationFault {
     return kind == RebalanceFault::kNoDefer ||
            kind == RebalanceFault::kDirectoryBeforeGrant;
   }
+  bool ignore_hysteresis() const noexcept {
+    return kind == RebalanceFault::kThrash;
+  }
+  bool split_at_hot_key() const noexcept {
+    return kind == RebalanceFault::kSplitOffByOne;
+  }
 };
 
-using Handler = core::SkipListVault<TowerIndex, Slot*, MigrationFault>;
+using Handler = core::SkipListVault<TowerIndex, Slot*, SimFault>;
 using Signal = Handler::Signal;
 
 struct Msg {
@@ -99,62 +109,11 @@ struct Msg {
 };
 
 struct SimVault {
-  SimVault(std::size_t migrate_chunk, MigrationFault fault)
+  SimVault(std::size_t migrate_chunk, SimFault fault)
       : handler(migrate_chunk, fault) {}
 
   Handler handler;
   Mailbox<Msg> inbox;
-};
-
-/// Deterministic in-sim load accounting for the kActiveLoadMap policy —
-/// the sim twin of obs::LoadMap (global key-range grid + per-vault
-/// SpaceSaving hot-key sketch), kept independent of the metrics registry
-/// so schedule exploration stays deterministic with observability off.
-struct SimLoad {
-  static constexpr std::size_t kRanges = 64;
-  static constexpr std::size_t kSketch = 8;
-
-  struct HotKey {
-    std::uint64_t key = 0;
-    std::uint64_t count = 0;
-  };
-
-  std::uint64_t key_range = 1;
-  std::vector<std::uint64_t> range_ops;            // cumulative, global
-  std::vector<std::array<HotKey, kSketch>> sketch;  // per vault, cumulative
-
-  SimLoad(std::uint64_t range, std::size_t vaults)
-      : key_range(range), range_ops(kRanges, 0), sketch(vaults) {}
-
-  std::size_t range_of(std::uint64_t key) const noexcept {
-    if (key <= 1) return 0;
-    const std::size_t idx =
-        static_cast<std::size_t>((key - 1) * kRanges / key_range);
-    return idx >= kRanges ? kRanges - 1 : idx;
-  }
-  std::uint64_t range_lo(std::size_t idx) const noexcept {
-    return 1 + idx * key_range / kRanges;
-  }
-  std::uint64_t range_hi(std::size_t idx) const noexcept {
-    return idx + 1 < kRanges ? (idx + 1) * key_range / kRanges : key_range;
-  }
-
-  void record(std::size_t vault, std::uint64_t key) {
-    ++range_ops[range_of(key)];
-    auto& entries = sketch[vault];
-    std::size_t min_i = 0;
-    for (std::size_t i = 0; i < kSketch; ++i) {
-      if (entries[i].key == key || entries[i].count == 0) {
-        entries[i].key = key;
-        ++entries[i].count;
-        return;
-      }
-      if (entries[i].count < entries[min_i].count) min_i = i;
-    }
-    // SpaceSaving eviction: the new key inherits the victim's count.
-    entries[min_i].key = key;
-    ++entries[min_i].count;
-  }
 };
 
 /// The state the vault actors share with the CPUs and the policies.
@@ -163,11 +122,11 @@ struct Host {
       : msg_ns(cfg.params.message()),
         dir(core::SentinelDirectory::equal_ranges(1, cfg.key_range,
                                                   cfg.partitions)),
-        load(cfg.key_range, cfg.partitions) {
+        load(load_options(cfg)) {
     auto& registry = obs::Registry::instance();
     for (std::size_t v = 0; v < cfg.partitions; ++v) {
       vaults.push_back(std::make_unique<SimVault>(
-          cfg.migrate_chunk, MigrationFault{cfg.fault, &dir}));
+          cfg.migrate_chunk, SimFault{cfg.fault, &dir}));
       vault_ops.push_back(&registry.counter("sim.pim_skiplist.vault" +
                                             std::to_string(v) + ".ops"));
     }
@@ -189,6 +148,17 @@ struct Host {
     return reply.await(ctx).accepted;
   }
 
+  /// The active policy's input: the runtime's LoadMap grid and sketch over
+  /// [1, key_range], unregistered (the per-vault counters are vault_ops).
+  static obs::LoadMap::Options load_options(const RebalanceConfig& cfg) {
+    obs::LoadMap::Options lm;
+    lm.num_vaults = cfg.partitions;
+    lm.key_min = 1;
+    lm.key_max = cfg.key_range;
+    lm.registry_prefix = "";
+    return lm;
+  }
+
   void stop_all(Context& ctx) {
     for (const auto& vault : vaults) vault->inbox.send(ctx, Msg{});
   }
@@ -199,7 +169,7 @@ struct Host {
 
   double msg_ns;
   core::SentinelDirectory dir;  ///< the CPUs' sentinel copies
-  SimLoad load;
+  obs::LoadMap load;
   std::vector<std::unique_ptr<SimVault>> vaults;
   /// Ops executed per vault: uniform keys load the vaults evenly, skew
   /// shows up directly as counter imbalance (the telemetry scenario).
@@ -428,128 +398,27 @@ RebalanceResult run_pim_skiplist_rebalance(const RebalanceConfig& cfg) {
     host.stop_all(ctx);
   });
 
-  // The active policy: the sim twin of core/auto_rebalancer::tick_active.
-  // Windowed per-vault deltas -> hysteresis gates (enter threshold,
-  // per-vault cooldown, noise floor, one migration at a time) -> split-key
-  // preference (dominant top key's successor, else hottest-range midpoint,
-  // else widest-partition midpoint) -> kMigStart to the hottest vault.
+  // The active policy: every policy_period_ns, the LoadMap window goes
+  // through the decision step (core/rebalance_step.hpp); a decision is a
+  // kMigStart to the hottest vault.
   const auto active_policy = [&](Context& ctx) {
-    std::vector<std::uint64_t> last(k, 0);
-    std::vector<std::size_t> cooldown(k, 0);
-    std::vector<std::uint64_t> last_range(SimLoad::kRanges, 0);
-    const bool thrash = cfg.fault == RebalanceFault::kThrash;
+    core::RebalanceStep<SimFault> step(cfg.trigger, SimFault{cfg.fault, &dir});
     Slot reply;
     while (ctx.now() < cfg.duration_ns) {
       ctx.advance(static_cast<double>(cfg.policy_period_ns));
       ctx.sync();
-      std::uint64_t total = 0;
-      std::uint64_t peak = 0;
-      std::size_t hot = 0;
-      std::size_t cold = 0;
-      std::uint64_t cold_ops = ~std::uint64_t{0};
-      for (std::size_t v = 0; v < k; ++v) {
-        const std::uint64_t d = host.requests(v) - last[v];
-        last[v] = host.requests(v);
-        total += d;
-        if (d > peak) {
-          peak = d;
-          hot = v;
-        }
-        if (d < cold_ops) {
-          cold_ops = d;
-          cold = v;
-        }
-      }
-      std::vector<std::uint64_t> rdelta(SimLoad::kRanges);
-      for (std::size_t i = 0; i < SimLoad::kRanges; ++i) {
-        rdelta[i] = host.load.range_ops[i] - last_range[i];
-        last_range[i] = host.load.range_ops[i];
-      }
-      for (auto& c : cooldown) {
-        if (c > 0) --c;
-      }
-      if (total < cfg.min_window_ops) continue;  // noise floor
-      const double imbalance = static_cast<double>(peak) *
-                               static_cast<double>(k) /
-                               static_cast<double>(total);
-      if (hot == cold) continue;
-      if (!thrash && imbalance < cfg.imbalance_enter) continue;
-      if (!thrash && cooldown[hot] > 0) continue;
-      if (host.migration_busy) continue;  // one migration at a time
-      if (result.migrations >= cfg.max_migrations) continue;
-      // --- split-key selection (mirrors AutoRebalancer::suggest_split) ---
-      std::uint64_t split = 0;
-      const auto& entries = host.load.sketch[hot];
-      std::uint64_t mass = 0;
-      std::size_t top = 0;
-      for (std::size_t i = 0; i < SimLoad::kSketch; ++i) {
-        mass += entries[i].count;
-        if (entries[i].count > entries[top].count) top = i;
-      }
-      if (mass > 0 && entries[top].count * 2 >= mass &&
-          dir.route(entries[top].key) == hot) {
-        // One key dominates the sketch: isolate it by splitting at its
-        // successor (kSplitOffByOne splits at the key itself, so the hot
-        // key rides along with the migrated suffix — the mutation).
-        const std::uint64_t cand =
-            cfg.fault == RebalanceFault::kSplitOffByOne
-                ? entries[top].key
-                : entries[top].key + 1;
-        const bool in_span = cand < dir.partition_of(entries[top].key).hi &&
-                             cand <= cfg.key_range;
-        const bool strict_suffix =
-            cfg.fault == RebalanceFault::kSplitOffByOne ||
-            cand > dir.partition_of(entries[top].key).lo;
-        if (in_span && strict_suffix) split = cand;
-      }
-      if (split == 0) {
-        // Hottest window range whose midpoint the hot vault owns.
-        std::size_t best = SimLoad::kRanges;
-        for (std::size_t i = 0; i < SimLoad::kRanges; ++i) {
-          if (rdelta[i] == 0) continue;
-          const std::uint64_t lo = host.load.range_lo(i);
-          const std::uint64_t mid = lo + (host.load.range_hi(i) - lo) / 2;
-          if (dir.route(mid) != hot || mid <= dir.partition_of(mid).lo) {
-            continue;
-          }
-          if (best == SimLoad::kRanges || rdelta[i] > rdelta[best]) best = i;
-        }
-        if (best < SimLoad::kRanges) {
-          const std::uint64_t lo = host.load.range_lo(best);
-          split = lo + (host.load.range_hi(best) - lo) / 2;
-        }
-      }
-      if (split == 0) {
-        // Widest partition of the hot vault, split at its midpoint.
-        std::uint64_t best_lo = 0;
-        std::uint64_t best_hi = 0;
-        const auto layout = dir.snapshot();
-        for (std::size_t i = 0; i < layout.size(); ++i) {
-          if (layout[i].vault != hot) continue;
-          const std::uint64_t lo = layout[i].sentinel;
-          const std::uint64_t hi = i + 1 < layout.size()
-                                       ? layout[i + 1].sentinel
-                                       : cfg.key_range + 1;
-          if (hi - lo > best_hi - best_lo) {
-            best_lo = lo;
-            best_hi = hi;
-          }
-        }
-        if (best_hi - best_lo >= 2) {
-          split = best_lo + (best_hi - best_lo) / 2;
-        }
-      }
-      if (split == 0) continue;  // nothing splittable this window
-      const std::size_t source = dir.route(split);
-      if (source != hot || source == cold) continue;
+      const auto move = step.decide(host.load.report(), dir, cfg.key_range,
+                                    host.migration_busy);
+      if (!move) continue;
       host.migration_busy = true;
-      if (!host.migrate(ctx, source, split, cold, reply)) {
+      if (!host.migrate(ctx, move->source, move->split, move->target,
+                        reply)) {
         host.migration_busy = false;
         continue;
       }
+      step.migrated(*move);
       ++result.migrations;
       if (ctx.now() >= 2 * third) ++result.migrations_late;
-      if (!thrash) cooldown[hot] = cfg.cooldown_periods;
     }
     // Drain an in-flight migration before stopping the vaults: the stops
     // below would otherwise overtake the tail of the kMigNode stream in

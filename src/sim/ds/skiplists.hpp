@@ -18,6 +18,7 @@
 
 #include <cstddef>
 
+#include "core/rebalance_step.hpp"
 #include "sim/workload.hpp"
 
 namespace pimds::sim {
@@ -58,7 +59,8 @@ RunResult run_pim_skiplist(const SkipListConfig& cfg, std::size_t partitions);
 /// mutation testing; each MUST be flagged by the linearizability checker.
 /// kStaleServe, kNoDefer and kDirectoryBeforeGrant act through
 /// core::SkipListVault's Fault hook, so they break the shipped handler;
-/// kThrash and kSplitOffByOne act on the simulated active policy.
+/// kThrash and kSplitOffByOne act through core::RebalanceStep's, so they
+/// break the shipped policy.
 enum class RebalanceFault : std::uint8_t {
   kNone,
   /// The source vault keeps serving ALL keys locally during migration —
@@ -109,12 +111,10 @@ enum class RebalancePolicy : std::uint8_t {
   /// Operator actor with workload-quantile knowledge splits the hot range
   /// at t = duration/3 (the historical scripted scenario).
   kOracle,
-  /// The sim twin of core/auto_rebalancer's active mode: a policy actor
-  /// samples windowed per-vault loads + a per-vault hot-key sketch every
-  /// policy_period_ns and drives kMigStart with hysteresis (enter
-  /// threshold, per-vault cooldown, min_window_ops floor) and the same
-  /// split-key preference (dominant top key's successor, else hottest
-  /// range midpoint, else widest partition midpoint).
+  /// core/auto_rebalancer's active mode: a policy actor feeds an
+  /// obs::LoadMap window to core::RebalanceStep every policy_period_ns and
+  /// drives kMigStart on its decisions (hysteresis and split-key rules in
+  /// core/rebalance_step.hpp).
   kActiveLoadMap,
 };
 
@@ -127,6 +127,7 @@ struct RebalanceConfig : SkipListConfig {
     key_range = 1 << 16;
     initial_size = 1 << 15;
     zipf_theta = 0.99;
+    trigger.min_window_ops = 200;
   }
 
   std::size_t partitions = 4;
@@ -136,14 +137,8 @@ struct RebalanceConfig : SkipListConfig {
   /// Active-policy window length (virtual ns); also the sampling period of
   /// the per-window imbalance series in RebalanceResult::windows.
   Time policy_period_ns = 1'500'000;
-  /// Trigger threshold: hottest vault >= enter x mean over a window.
-  double imbalance_enter = 2.0;
-  /// Windows a vault is barred as a migration source after sourcing one.
-  std::size_t cooldown_periods = 2;
-  /// Windows below this many total ops are noise, never judged.
-  std::uint64_t min_window_ops = 200;
-  /// Safety valve on active-policy migrations.
-  std::size_t max_migrations = ~std::size_t{0};
+  /// The active policy's gates (the runtime AutoRebalancer's options).
+  core::RebalanceOptions trigger;
 };
 
 /// One sampled window of the per-vault load series (every policy_period_ns,

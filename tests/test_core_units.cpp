@@ -8,12 +8,14 @@
 #include <algorithm>
 #include <deque>
 #include <memory_resource>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/queue_vault.hpp"
+#include "core/rebalance_step.hpp"
 #include "core/sentinel_directory.hpp"
 #include "core/skip_list_vault.hpp"
 #include "core/sorted_list.hpp"
@@ -778,6 +780,204 @@ using Response = std::vector<std::pair<int, QueueReply>>;
 
 /// Two vaults, threshold 2, fat nodes on: one scripted run through both
 /// hand-offs, both of them once to another core and once to the same core.
+// ---------------------------------------------------------------------------
+// RebalanceStep: the policy decision both AutoRebalancer and the simulator's
+// active policy call, driven by hand-built reports over a 4-vault layout.
+// ---------------------------------------------------------------------------
+
+using core::RebalanceMove;
+using core::RebalanceOptions;
+using Report = obs::LoadMap::HotVaultReport;
+
+constexpr std::uint64_t kStepKeyMax = 1 << 16;
+
+/// The runtime skip list's initial layout over [1, 2^16]: vault v owns
+/// [1 + v * 2^14, 1 + (v + 1) * 2^14).
+SentinelDirectory step_layout() {
+  return SentinelDirectory(
+      SentinelDirectory::equal_ranges(1, kStepKeyMax, 4));
+}
+
+/// A window with the given per-vault ops (hot/cold/ratio as LoadMap fills
+/// them); no hot keys or ranges, so a split falls back to the hot vault's
+/// widest partition.
+Report window(std::vector<std::uint64_t> ops) {
+  Report rep;
+  rep.per_vault_ops = std::move(ops);
+  for (const std::uint64_t n : rep.per_vault_ops) rep.window_ops += n;
+  const auto& v = rep.per_vault_ops;
+  rep.hottest = static_cast<std::size_t>(
+      std::max_element(v.begin(), v.end()) - v.begin());
+  rep.coldest = static_cast<std::size_t>(
+      std::min_element(v.begin(), v.end()) - v.begin());
+  rep.hottest_ops = v[rep.hottest];
+  rep.coldest_ops = v[rep.coldest];
+  rep.mean_ops = static_cast<double>(rep.window_ops) / 4.0;
+  rep.imbalance_ratio =
+      rep.mean_ops > 0.0 ? static_cast<double>(rep.hottest_ops) / rep.mean_ops
+                         : 0.0;
+  return rep;
+}
+
+/// Vault 0's widest-partition midpoint under step_layout().
+constexpr std::uint64_t kVault0Mid = 1 + (1 << 14) / 2;
+
+/// sim::RebalanceFault's two policy mutants, switchable per test.
+struct PolicyMutant {
+  bool thrash = false;
+  bool off_by_one = false;
+  bool ignore_hysteresis() const noexcept { return thrash; }
+  bool split_at_hot_key() const noexcept { return off_by_one; }
+};
+
+void expect_move(const std::optional<RebalanceMove>& move,
+                 std::uint64_t split, std::size_t source,
+                 std::size_t target) {
+  ASSERT_TRUE(move.has_value());
+  EXPECT_EQ(move->split, split);
+  EXPECT_EQ(move->source, source);
+  EXPECT_EQ(move->target, target);
+}
+
+TEST(RebalanceStep, EnterThresholdGatesTheWindow) {
+  const SentinelDirectory dir = step_layout();
+  core::RebalanceStep<> step(RebalanceOptions{});  // enter 2.0, floor 100
+  // 190 of 400 ops: ratio 1.9, below ENTER.
+  EXPECT_FALSE(step.decide(window({190, 90, 70, 50}), dir, kStepKeyMax, false));
+  // 200 of 400 ops: ratio 2.0 is at ENTER, so vault 0 sheds the upper half
+  // of its partition to the coldest vault.
+  expect_move(step.decide(window({200, 100, 60, 40}), dir, kStepKeyMax, false),
+              kVault0Mid, 0, 3);
+  EXPECT_EQ(step.migrations(), 0u) << "a decision is not a migration";
+}
+
+TEST(RebalanceStep, NoiseFloorSkipsSmallWindows) {
+  const SentinelDirectory dir = step_layout();
+  RebalanceOptions opts;
+  opts.min_window_ops = 100;
+  core::RebalanceStep<> step(opts);
+  // Ratio 3.2, but 50 ops is noise.
+  EXPECT_FALSE(step.decide(window({40, 4, 3, 3}), dir, kStepKeyMax, false));
+  expect_move(step.decide(window({80, 8, 6, 6}), dir, kStepKeyMax, false),
+              kVault0Mid, 0, 2);
+  // Balanced or empty windows never trigger.
+  EXPECT_FALSE(step.decide(window({0, 0, 0, 0}), dir, kStepKeyMax, false));
+  EXPECT_FALSE(step.decide(window({50, 50, 50, 50}), dir, kStepKeyMax, false));
+}
+
+TEST(RebalanceStep, CooldownBarsARecentSourceAndTicksDown) {
+  const SentinelDirectory dir = step_layout();
+  RebalanceOptions opts;
+  opts.cooldown_periods = 3;
+  core::RebalanceStep<> step(opts);
+  const Report hot0 = window({300, 50, 30, 20});
+  const auto move = step.decide(hot0, dir, kStepKeyMax, false);
+  ASSERT_TRUE(move.has_value());
+  step.migrated(*move);
+  EXPECT_EQ(step.migrations(), 1u);
+  // Each window ticks the cooldown down first: 3 -> 2 -> 1 bar vault 0 for
+  // two windows, the third finds it at 0.
+  EXPECT_FALSE(step.decide(hot0, dir, kStepKeyMax, false));
+  // Another hot vault is not barred meanwhile (vault 1 owns
+  // [2^14 + 1, 2^15 + 1)).
+  expect_move(step.decide(window({50, 300, 30, 20}), dir, kStepKeyMax, false),
+              (1 << 14) + 1 + (1 << 13), 1, 3);
+  expect_move(step.decide(hot0, dir, kStepKeyMax, false), kVault0Mid, 0, 3);
+}
+
+TEST(RebalanceStep, BusyOrCappedIsANoOp) {
+  const SentinelDirectory dir = step_layout();
+  RebalanceOptions opts;
+  opts.cooldown_periods = 0;
+  opts.max_migrations = 1;
+  core::RebalanceStep<> step(opts);
+  const Report hot0 = window({300, 50, 30, 20});
+  EXPECT_FALSE(step.decide(hot0, dir, kStepKeyMax, /*migration_busy=*/true))
+      << "one migration at a time";
+  const auto move = step.decide(hot0, dir, kStepKeyMax, false);
+  ASSERT_TRUE(move.has_value());
+  step.migrated(*move);
+  EXPECT_FALSE(step.decide(hot0, dir, kStepKeyMax, false))
+      << "max_migrations reached";
+}
+
+TEST(RebalanceStep, ThrashFaultIgnoresThresholdAndCooldown) {
+  const SentinelDirectory dir = step_layout();
+  RebalanceOptions opts;
+  opts.cooldown_periods = 5;
+  core::RebalanceStep<PolicyMutant> clean(opts);
+  core::RebalanceStep<PolicyMutant> thrash(opts, PolicyMutant{true, false});
+  // Ratio 1.2: below ENTER.
+  const Report mild = window({120, 100, 100, 80});
+  EXPECT_FALSE(clean.decide(mild, dir, kStepKeyMax, false));
+  const auto move = thrash.decide(mild, dir, kStepKeyMax, false);
+  expect_move(move, kVault0Mid, 0, 3);
+  thrash.migrated(*move);
+  // The source's cooldown does not hold the mutant back either.
+  EXPECT_TRUE(thrash.decide(mild, dir, kStepKeyMax, false).has_value());
+  // The noise floor and the one-at-a-time guard still hold.
+  EXPECT_FALSE(thrash.decide(window({12, 10, 10, 8}), dir, kStepKeyMax, false));
+  EXPECT_FALSE(thrash.decide(mild, dir, kStepKeyMax, true));
+}
+
+TEST(RebalanceStep, SplitOffByOneFaultSplitsAtTheHotKey) {
+  const SentinelDirectory dir = step_layout();
+  using Step = core::RebalanceStep<PolicyMutant>;
+  const PolicyMutant off_by_one{false, true};
+  Report rep = window({900, 50, 30, 20});
+  rep.hot_keys = {{/*key=*/777, /*count=*/600}, {778, 200}, {12, 100}};
+  EXPECT_EQ(Step::suggest_split(rep, 0, dir, kStepKeyMax), 778u)
+      << "clean: the dominant key's successor";
+  EXPECT_EQ(Step::suggest_split(rep, 0, dir, kStepKeyMax, off_by_one), 777u)
+      << "mutant: the dominant key itself";
+  // A dominant key at its partition's sentinel: the mutant's split is the
+  // whole partition, hot key included; the clean split keeps the key.
+  rep.hot_keys = {{/*key=*/1, /*count=*/600}, {2, 200}};
+  EXPECT_EQ(Step::suggest_split(rep, 0, dir, kStepKeyMax), 2u);
+  Step mutant(RebalanceOptions{}, off_by_one);
+  expect_move(mutant.decide(rep, dir, kStepKeyMax, false), 1, 0, 3);
+}
+
+TEST(RebalanceStep, SuggestSplitIsolatesADominantTopKey) {
+  // When ONE key dominates the hot vault's sketch, the split must be that
+  // key's SUCCESSOR (isolating the hot key), not a midpoint that relocates
+  // or keeps the entire hot spot. The mutant that splits AT the hot key is
+  // kSplitOffByOne (above).
+  const SentinelDirectory dir = step_layout();
+  using Step = core::RebalanceStep<>;
+
+  Report rep;
+  rep.window_ops = 1000;
+  rep.hottest = 0;
+  rep.coldest = 3;
+  rep.hot_keys = {{/*key=*/777, /*count=*/600},
+                  {/*key=*/778, /*count=*/200},
+                  {/*key=*/12, /*count=*/100}};
+  rep.hot_ranges = {{/*lo=*/512, /*hi=*/1023, /*ops=*/900}};
+  EXPECT_EQ(Step::suggest_split(rep, /*hot=*/0, dir, kStepKeyMax), 778u)
+      << "dominant top key (600 >= half of 900 tracked) -> successor split";
+
+  // No dominance (top key holds < half the tracked mass): fall back to the
+  // hottest owned range's midpoint.
+  rep.hot_keys = {{777, 300}, {5000, 290}, {12, 280}};
+  EXPECT_EQ(Step::suggest_split(rep, 0, dir, kStepKeyMax),
+            512u + (1023u - 512u) / 2)
+      << "no dominant key -> hottest-range midpoint";
+
+  // Dominant key owned by ANOTHER vault: rule 1 must not fire for vault 0;
+  // with the hot range also outside vault 0, fall through to the widest
+  // partition midpoint.
+  rep.hot_keys = {{/*key=*/(1u << 15) + 9, /*count=*/600}, {778, 200}};
+  rep.hot_ranges = {{/*lo=*/1u << 15, /*hi=*/(1u << 15) + 1023, /*ops=*/900}};
+  const auto parts = dir.snapshot();
+  ASSERT_GE(parts.size(), 2u);
+  const std::uint64_t p_lo = parts[0].sentinel;  // vault 0's only partition
+  const std::uint64_t p_hi = parts[1].sentinel;
+  EXPECT_EQ(Step::suggest_split(rep, 0, dir, kStepKeyMax),
+            p_lo + (p_hi - p_lo) / 2)
+      << "foreign hot key/range -> widest owned partition midpoint";
+}
+
 TEST(QueueVault, ScriptedRunFollowsAlgorithmOne) {
   FakeQueueWorld world;
   obs::Registry::instance().reset();

@@ -13,6 +13,7 @@
 #include "core/pim_fifo_queue.hpp"
 #include "core/pim_skiplist.hpp"
 #include "core/vault_index.hpp"
+#include "obs/metrics.hpp"
 #include "sim/ds/queues.hpp"
 
 namespace pimds {
@@ -79,7 +80,8 @@ TEST(VaultIndexMigrationHelpers, CursorSurvivesInterleavedMutations) {
   EXPECT_FALSE(list.contains(40));
 }
 
-TEST(AutoRebalancer, SpreadsAZipfHotSpot) {
+/// Zipf(0.99) reads pile onto vault 0: the default policy must split it.
+void expect_zipf_hot_spot_spread() {
   runtime::PimSystem::Config config;
   config.num_vaults = 4;
   runtime::PimSystem system(config);
@@ -129,6 +131,16 @@ TEST(AutoRebalancer, SpreadsAZipfHotSpot) {
   EXPECT_EQ(list.size(), loaded) << "rebalancing must not lose keys";
 }
 
+TEST(AutoRebalancer, SpreadsAZipfHotSpot) { expect_zipf_hot_spot_spread(); }
+
+TEST(AutoRebalancer, SpreadsAZipfHotSpotWithMetricsOff) {
+  // The LoadMap's range cells and sketch are the policy's input, not
+  // telemetry: --no-obs must not blind the rebalancer.
+  obs::set_metrics_enabled(false);
+  expect_zipf_hot_spot_spread();
+  obs::set_metrics_enabled(true);
+}
+
 TEST(AutoRebalancer, StaysQuietUnderUniformLoad) {
   runtime::PimSystem::Config config;
   config.num_vaults = 4;
@@ -170,11 +182,11 @@ TEST(AutoRebalancer, AdaptiveCombiningEngagesOnAHotRange) {
   core::PimSkipList list(system, options);
   core::AutoRebalancer::Options rb_options;
   rb_options.period = std::chrono::milliseconds(10);
-  rb_options.max_migrations = 0;  // isolate combining from migrations
+  rb_options.trigger.max_migrations = 0;  // isolate combining from migrations
   rb_options.adaptive_combining = true;
   rb_options.combine_enter_share = 0.30;
   rb_options.combine_exit_share = 0.10;
-  rb_options.min_window_ops = 50;
+  rb_options.trigger.min_window_ops = 50;
   rb_options.log_decisions = false;
   core::AutoRebalancer rebalancer(list, rb_options);
   system.start();
@@ -217,50 +229,6 @@ TEST(AutoRebalancer, AdaptiveCombiningEngagesOnAHotRange) {
       << "max_migrations = 0 must hold migrations back";
   EXPECT_EQ(list.size(), adds_ok.load() - removes_ok.load())
       << "combined ops must apply exactly once";
-}
-
-TEST(AutoRebalancer, SuggestSplitIsolatesADominantTopKey) {
-  // Regression for the observe-only suggestion: when ONE key dominates the
-  // sketch, the split must be that key's SUCCESSOR (isolating the hot key),
-  // not a midpoint that relocates or keeps the entire hot spot. The mutant
-  // that splits AT the hot key is kSplitOffByOne in the sim twin.
-  runtime::PimSystem::Config config;
-  config.num_vaults = 4;
-  runtime::PimSystem system(config);
-  core::PimSkipList::Options options;
-  options.key_max = 1 << 16;
-  core::PimSkipList list(system, options);
-  core::AutoRebalancer rebalancer(list);
-
-  // Vault 0 owns [0, 1<<14) under the default 4-way split.
-  obs::LoadMap::HotVaultReport rep;
-  rep.window_ops = 1000;
-  rep.hottest = 0;
-  rep.coldest = 3;
-  rep.hot_keys = {{/*key=*/777, /*count=*/600},
-                  {/*key=*/778, /*count=*/200},
-                  {/*key=*/12, /*count=*/100}};
-  rep.hot_ranges = {{/*lo=*/512, /*hi=*/1023, /*ops=*/900}};
-  EXPECT_EQ(rebalancer.suggest_split(rep, /*hot=*/0), 778u)
-      << "dominant top key (600 >= half of 900 tracked) -> successor split";
-
-  // No dominance (top key holds < half the tracked mass): fall back to the
-  // hottest owned range's midpoint.
-  rep.hot_keys = {{777, 300}, {5000, 290}, {12, 280}};
-  EXPECT_EQ(rebalancer.suggest_split(rep, 0), 512u + (1023u - 512u) / 2)
-      << "no dominant key -> hottest-range midpoint";
-
-  // Dominant key owned by ANOTHER vault: rule 1 must not fire for vault 0;
-  // with the hot range also outside vault 0, fall through to the widest
-  // partition midpoint.
-  rep.hot_keys = {{/*key=*/(1u << 15) + 9, /*count=*/600}, {778, 200}};
-  rep.hot_ranges = {{/*lo=*/1u << 15, /*hi=*/(1u << 15) + 1023, /*ops=*/900}};
-  const auto parts = list.partitions();
-  ASSERT_GE(parts.size(), 2u);
-  const std::uint64_t p_lo = parts[0].sentinel;  // vault 0's only partition
-  const std::uint64_t p_hi = parts[1].sentinel;
-  EXPECT_EQ(rebalancer.suggest_split(rep, 0), p_lo + (p_hi - p_lo) / 2)
-      << "foreign hot key/range -> widest owned partition midpoint";
 }
 
 TEST(RuntimeFatNodes, QueueStaysFifoWithEnqueueCombining) {

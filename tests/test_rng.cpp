@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "common/zipf.hpp"
@@ -165,6 +166,58 @@ TEST(Zipf, HeadMassMatchesTheoryForTheta099) {
   // ~3% absolute tolerance: > 5 sigma for a Bernoulli(~0.37) at 200K draws.
   EXPECT_NEAR(observed, expected, 0.03);
   EXPECT_GT(observed, 0.2) << "theta=0.99 must concentrate mass on the head";
+}
+
+/// Share of `draws` draws that land on ranks 0, 1 and 2.
+std::array<double, 3> head_shares(double theta, int draws) {
+  ZipfGenerator zipf(1 << 14, theta);
+  Xoshiro256 g(13);
+  std::array<int, 3> hits{};
+  for (int i = 0; i < draws; ++i) {
+    const std::uint64_t r = zipf.next(g);
+    if (r < 3) ++hits[r];
+  }
+  return {static_cast<double>(hits[0]) / draws,
+          static_cast<double>(hits[1]) / draws,
+          static_cast<double>(hits[2]) / draws};
+}
+
+/// Exact P(rank = r) for Zipf(theta) over 2^14 ranks.
+double exact_pmf(double theta, std::uint64_t r) {
+  double zeta = 0.0;
+  for (std::uint64_t i = 1; i <= (1 << 14); ++i) {
+    zeta += 1.0 / std::pow(static_cast<double>(i), theta);
+  }
+  return 1.0 / std::pow(static_cast<double>(r + 1), theta) / zeta;
+}
+
+TEST(Zipf, AboveOneTheHeadIsExactAndRankTwoIsOverdrawn) {
+  // The closed form holds ranks 0 and 1 exact for any theta; past the pole
+  // at 1 its tail is approximate. At theta = 2 rank 2 draws 0.080 against
+  // the exact 0.068 (the single-dominant-key workload of
+  // ActiveRebalanceMutation runs there); theta = 1.5 has the same shape.
+  // 400K draws: one sigma is under 0.0005 on every share below.
+  constexpr int kDraws = 400000;
+  const std::array<double, 3> two = head_shares(2.0, kDraws);
+  EXPECT_NEAR(exact_pmf(2.0, 0), 0.608, 0.001);
+  EXPECT_NEAR(two[0], exact_pmf(2.0, 0), 0.004);
+  EXPECT_NEAR(two[1], exact_pmf(2.0, 1), 0.004);
+  EXPECT_NEAR(exact_pmf(2.0, 2), 0.068, 0.001);
+  EXPECT_NEAR(two[2], 0.080, 0.004);
+  const std::array<double, 3> one_five = head_shares(1.5, kDraws);
+  EXPECT_NEAR(one_five[0], exact_pmf(1.5, 0), 0.004);
+  EXPECT_NEAR(one_five[1], exact_pmf(1.5, 1), 0.004);
+  EXPECT_GT(one_five[2], exact_pmf(1.5, 2) + 0.004);
+}
+
+TEST(Zipf, RejectsParametersOutsideItsDomain) {
+  // Checked in every build, not by an assert that NDEBUG removes.
+  EXPECT_THROW(ZipfGenerator(0, 0.5), std::invalid_argument);
+  EXPECT_THROW(ZipfGenerator(100, -0.1), std::invalid_argument);
+  EXPECT_THROW(ZipfGenerator(100, 1.0), std::invalid_argument)
+      << "theta = 1 is the closed form's pole (alpha = 1 / (1 - theta))";
+  EXPECT_NO_THROW(ZipfGenerator(1, 0.0));
+  EXPECT_NO_THROW(ZipfGenerator(100, 2.0));
 }
 
 TEST(Zipf, DeterministicUnderFixedSeed) {

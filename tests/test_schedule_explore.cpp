@@ -93,9 +93,9 @@ check::Trial active_rebalance_trial(sim::RebalanceFault fault) {
     cfg.migrate_chunk = 4;
     cfg.policy = sim::RebalancePolicy::kActiveLoadMap;
     cfg.policy_period_ns = 200'000;
-    cfg.imbalance_enter = 1.2;
-    cfg.cooldown_periods = 1;
-    cfg.min_window_ops = 50;
+    cfg.trigger.imbalance_enter = 1.2;
+    cfg.trigger.cooldown_periods = 1;
+    cfg.trigger.min_window_ops = 50;
     cfg.fault = fault;
     check::HistoryRecorder recorder(cfg.num_cpus + 1);
     cfg.recorder = &recorder;

@@ -201,10 +201,10 @@ TEST(SentinelRefresh, LinearizableUnderActiveRebalancerWithCombining) {
 
   AutoRebalancer::Options ropts;
   ropts.period = std::chrono::milliseconds(5);
-  ropts.imbalance_ratio = 1.5;
+  ropts.trigger.imbalance_enter = 1.5;
   ropts.imbalance_exit = 1.2;
-  ropts.cooldown_periods = 1;
-  ropts.min_window_ops = 50;
+  ropts.trigger.cooldown_periods = 1;
+  ropts.trigger.min_window_ops = 50;
   ropts.adaptive_combining = true;
   ropts.combine_enter_share = 0.30;
   ropts.combine_exit_share = 0.05;

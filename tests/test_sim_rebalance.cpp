@@ -92,8 +92,8 @@ RebalanceConfig active_config(std::uint64_t seed) {
   cfg.duration_ns = 45'000'000;
   cfg.policy = RebalancePolicy::kActiveLoadMap;
   cfg.policy_period_ns = 1'000'000;
-  cfg.imbalance_enter = 1.2;
-  cfg.cooldown_periods = 1;
+  cfg.trigger.imbalance_enter = 1.2;
+  cfg.trigger.cooldown_periods = 1;
   return cfg;
 }
 

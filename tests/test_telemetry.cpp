@@ -187,7 +187,6 @@ TEST(LoadMap, ReportFindsTheHotVaultAndHotKeys) {
   opts.key_min = 1;
   opts.key_max = 1 << 12;
   opts.registry_prefix = "";
-  opts.top_k = 3;
   LoadMap map(opts);
   // Vault 0 takes 10x the traffic, concentrated on keys 1 and 2.
   for (int i = 0; i < 1000; ++i) {
@@ -303,7 +302,8 @@ TEST(ObserveOnlyRebalancer, FlagsZipfHotVaultWithoutMigrating) {
       << "partition table must be untouched";
   const auto rep = observer.last_report();
   EXPECT_EQ(rep.hottest, 0u) << rep.summary();
-  EXPECT_GE(rep.imbalance_ratio, ropts.imbalance_ratio) << rep.summary();
+  EXPECT_GE(rep.imbalance_ratio, ropts.trigger.imbalance_enter)
+      << rep.summary();
 }
 
 }  // namespace
