@@ -1,9 +1,8 @@
 // Google-benchmark microbenchmarks for the substrate primitives: fiber
-// switches, virtual-time scheduling, the MPMC mailbox transport, the
-// reclamation seam (EBR vs hazard pointers, read side and retire side),
-// RNG, the latency injector, and the wake-up of the runtime's sleeping
-// waits. These bound the overheads that the emulation adds on top of the
-// modeled latencies.
+// switches, virtual-time scheduling, the MPMC mailbox transport,
+// epoch-based reclamation (guard and retire), RNG, the latency injector,
+// and the wake-up of the runtime's sleeping waits. These bound the
+// overheads that the emulation adds on top of the modeled latencies.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -16,7 +15,7 @@
 #include "bench/bench_util.hpp"
 #include "common/latency.hpp"
 #include "common/mpmc_queue.hpp"
-#include "common/reclaim.hpp"
+#include "common/ebr.hpp"
 #include "common/rng.hpp"
 #include "common/spinwait.hpp"
 #include "common/timing.hpp"
@@ -92,49 +91,33 @@ void BM_MpmcPushPop(benchmark::State& state) {
 }
 BENCHMARK(BM_MpmcPushPop);
 
-// --- Reclamation-seam comparison (the numbers behind DESIGN.md §5f). ---
-// Named domains, so every --json run carries the reclaim.micro.<policy>.*
+// --- Epoch-based reclamation (the numbers behind DESIGN.md §5f). ---
+// Named domains, so every --json run carries the reclaim.micro.ebr.*
 // registry metrics alongside the records.
 
-/// Guard enter/exit: EBR pins the epoch (two fenced stores), HP only bumps
-/// a per-thread depth until a hazard is actually published.
-void BM_ReclaimGuard(benchmark::State& state, ReclaimPolicy policy) {
-  auto domain = make_reclaimer(policy, "micro");
+/// Guard enter/exit: pins the epoch (a store plus a seq_cst fence), then
+/// unpins it.
+void BM_ReclaimGuard(benchmark::State& state) {
+  EbrDomain domain("micro");
   for (auto _ : state) {
-    ReclaimGuard guard(*domain);
+    EbrDomain::Guard guard(domain);
     benchmark::DoNotOptimize(&guard);
   }
 }
-BENCHMARK_CAPTURE(BM_ReclaimGuard, ebr, pimds::ReclaimPolicy::kEbr);
-BENCHMARK_CAPTURE(BM_ReclaimGuard, hp, pimds::ReclaimPolicy::kHp);
+BENCHMARK(BM_ReclaimGuard);
 
-/// Read-side cost per protected pointer: EBR is one acquire load; HP adds
-/// the publish + store-load fence + revalidation loop.
-void BM_ReclaimProtect(benchmark::State& state, ReclaimPolicy policy) {
-  auto domain = make_reclaimer(policy, "micro");
-  int target = 42;
-  std::atomic<int*> src{&target};
-  for (auto _ : state) {
-    ReclaimGuard guard(*domain);
-    benchmark::DoNotOptimize(guard.protect(0, src));
-  }
-}
-BENCHMARK_CAPTURE(BM_ReclaimProtect, ebr, pimds::ReclaimPolicy::kEbr);
-BENCHMARK_CAPTURE(BM_ReclaimProtect, hp, pimds::ReclaimPolicy::kHp);
-
-/// Retire throughput including the amortized reclamation passes (EBR epoch
-/// advance every batch, HP scan every threshold).
-void BM_ReclaimRetire(benchmark::State& state, ReclaimPolicy policy) {
-  auto domain = make_reclaimer(policy, "micro");
+/// Retire throughput including the amortized epoch advance every
+/// kRetireBatch retires.
+void BM_ReclaimRetire(benchmark::State& state) {
+  EbrDomain domain("micro");
   for (auto _ : state) {
     auto* node = new std::uint64_t(7);
-    ReclaimGuard guard(*domain);
+    EbrDomain::Guard guard(domain);
     guard.retire(node);
   }
-  domain->flush();
+  domain.flush();
 }
-BENCHMARK_CAPTURE(BM_ReclaimRetire, ebr, pimds::ReclaimPolicy::kEbr);
-BENCHMARK_CAPTURE(BM_ReclaimRetire, hp, pimds::ReclaimPolicy::kHp);
+BENCHMARK(BM_ReclaimRetire);
 
 // --- Telemetry-plane costs (the numbers behind docs/OBSERVABILITY.md's
 // "Telemetry & LoadMap" section). BM_MetricsSnapshot/BM_DeltaSnapshot/

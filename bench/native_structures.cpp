@@ -10,7 +10,6 @@
 // and lock-free structures do — plus the real PIM emulation running with
 // injected Section 3 latencies.
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -92,26 +91,10 @@ std::function<void(int, Xoshiro256&)> set_op(Set& set, std::uint64_t range) {
 
 int main(int argc, char** argv) {
   JsonReporter json(argc, argv, "native_structures");
-  // --reclaim=ebr|hp selects the memory-reclamation policy for every
-  // lock-free structure in the run (default: ebr).
-  ReclaimPolicy reclaim = ReclaimPolicy::kEbr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--reclaim=", 10) == 0) {
-      if (auto p = parse_reclaim_policy(argv[i] + 10)) {
-        reclaim = *p;
-      } else {
-        std::fprintf(stderr, "unknown --reclaim value '%s' (want ebr|hp)\n",
-                     argv[i] + 10);
-        return 2;
-      }
-    }
-  }
   const std::size_t max_threads = hardware_threads();
   std::printf("host: %zu hardware threads (the paper used 28; see the\n"
               "simulator benches for full-scale sweeps)\n",
               max_threads);
-  std::printf("reclamation policy for lock-free structures: %s\n",
-              to_string(reclaim));
 
   banner("Native lists (key range 800, prefilled 400)");
   {
@@ -120,7 +103,7 @@ int main(int argc, char** argv) {
     for (std::size_t p = 1; p <= max_threads; p *= 2) {
       baselines::HohList hoh;
       prefill(hoh, 400, 800);
-      baselines::LazyList lazy(reclaim);
+      baselines::LazyList lazy;
       prefill(lazy, 400, 800);
       baselines::FcLinkedList fc_plain(false);
       prefill(fc_plain, 400, 800);
@@ -134,10 +117,7 @@ int main(int argc, char** argv) {
                        mops(fc_comb_t)});
       const JsonReporter::Params params{{"threads", std::to_string(p)}};
       json.record("hoh_list_p" + std::to_string(p), params, hoh_t);
-      json.record("lazy_list_p" + std::to_string(p),
-                  {{"threads", std::to_string(p)},
-                   {"reclaim", to_string(reclaim)}},
-                  lazy_t);
+      json.record("lazy_list_p" + std::to_string(p), params, lazy_t);
       json.record("fc_comb_list_p" + std::to_string(p), params, fc_comb_t);
     }
   }
@@ -147,7 +127,7 @@ int main(int argc, char** argv) {
     Table table({"threads", "lock-free", "FC k=1", "FC k=4"}, 16);
     table.print_header();
     for (std::size_t p = 1; p <= max_threads; p *= 2) {
-      baselines::LockFreeSkipList lf(reclaim);
+      baselines::LockFreeSkipList lf;
       prefill(lf, 1 << 15, 1 << 16);
       baselines::FcSkipList fc1(1 << 16, 1);
       prefill(fc1, 1 << 15, 1 << 16);
@@ -158,9 +138,7 @@ int main(int argc, char** argv) {
                        mops(measure(p, set_op(fc1, 1 << 16))),
                        mops(measure(p, set_op(fc4, 1 << 16)))});
       json.record("lockfree_skiplist_p" + std::to_string(p),
-                  {{"threads", std::to_string(p)},
-                   {"reclaim", to_string(reclaim)}},
-                  lf_t);
+                  {{"threads", std::to_string(p)}}, lf_t);
     }
   }
 
@@ -178,9 +156,9 @@ int main(int argc, char** argv) {
           }
         };
       };
-      baselines::MsQueue ms(reclaim);
+      baselines::MsQueue ms;
       for (int i = 0; i < (1 << 16); ++i) ms.enqueue(i);
-      baselines::FaaQueue faa(reclaim);
+      baselines::FaaQueue faa;
       for (int i = 0; i < (1 << 16); ++i) faa.enqueue(i);
       baselines::FcQueue fc;
       for (int i = 0; i < (1 << 16); ++i) fc.enqueue(i);
@@ -188,8 +166,7 @@ int main(int argc, char** argv) {
       const double faa_t = measure(p, queue_op(faa));
       table.print_row({std::to_string(p), mops(ms_t), mops(faa_t),
                        mops(measure(p, queue_op(fc)))});
-      const JsonReporter::Params qparams{{"threads", std::to_string(p)},
-                                         {"reclaim", to_string(reclaim)}};
+      const JsonReporter::Params qparams{{"threads", std::to_string(p)}};
       json.record("ms_queue_p" + std::to_string(p), qparams, ms_t);
       json.record("faa_queue_p" + std::to_string(p), qparams, faa_t);
     }

@@ -2,9 +2,9 @@
 # Tier-1 verification (ROADMAP.md): standard build + full ctest, then the
 # runtime message-path tests again under ThreadSanitizer (the mailbox drain /
 # response pipelining code is exactly the kind of lock-free code TSan exists
-# for), and the reclamation seam plus the vault structures under ASan+LSan (a
-# reclamation or node bug is either a use-after-free, an out-of-bounds write
-# or a leak — exactly what that pair detects).
+# for), and epoch-based reclamation plus the vault structures under
+# ASan+LSan (a reclamation or node bug is either a use-after-free, an
+# out-of-bounds write or a leak — exactly what that pair detects).
 # Every stage runs even if an earlier one failed; the script exits non-zero
 # at the end and names the failed stages.
 # Usage: scripts/tier1.sh [--skip-tsan] [--skip-asan]
@@ -202,31 +202,30 @@ stage_tsan() {
   # adaptive-combining flips racing the send path.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_sentinel_refresh
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_extensions
-  # Reclamation seam: the protect/retire race and the policy-parameterized
-  # baseline matrix are the TSan targets for the HP publish/scan fences.
-  cmake --build build-tsan -j --target test_reclaim test_baselines \
-    test_mpmc_ebr soak_reclamation
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_reclaim
+  # Epoch-based reclamation: the load/retire race (test_mpmc_ebr), the
+  # lock-free baselines and the churn soak are the TSan targets for the
+  # guard-entry fence pairing with the epoch scan.
+  cmake --build build-tsan -j --target test_baselines test_mpmc_ebr \
+    soak_reclamation
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_baselines
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_mpmc_ebr
   TSAN_OPTIONS="halt_on_error=1" \
-    ./build-tsan/tests/soak_reclamation --seconds 2 --policy both
+    ./build-tsan/tests/soak_reclamation --seconds 2
 }
 if [[ "$skip_tsan" == 0 ]]; then
   run_stage "ThreadSanitizer lane" stage_tsan
 fi
 
 stage_asan() {
-  echo "== tier-1: reclamation seam and vault structures under ASan + LSan =="
+  echo "== tier-1: reclamation and vault structures under ASan + LSan =="
   cmake --preset asan > /dev/null
-  cmake --build build-asan -j --target test_reclaim test_baselines \
+  cmake --build build-asan -j --target test_baselines \
     test_mpmc_ebr soak_reclamation test_core_units test_extensions \
     test_core_structures test_mailbox_batch test_sim_structures \
     test_sim_rebalance test_checker_mutation test_schedule_explore \
     test_sentinel_refresh
-  # LSan runs at exit by default under ASan: any node a policy drops on the
-  # floor (or frees twice) fails here even if no test assertion notices.
-  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_reclaim
+  # LSan runs at exit by default under ASan: any node reclamation drops on
+  # the floor (or frees twice) fails here even if no assertion notices.
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_baselines
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_mpmc_ebr
   # Vault-side node code (fat-node index, queue segments) and the fat-
@@ -249,7 +248,7 @@ stage_asan() {
   # Cap the malloc quarantine: its default (256 MB) parks freed churn nodes
   # in RSS and would trip the soak's leak ceiling without any actual leak.
   ASAN_OPTIONS="halt_on_error=1:quarantine_size_mb=32" \
-    ./build-asan/tests/soak_reclamation --seconds 2 --policy both
+    ./build-asan/tests/soak_reclamation --seconds 2
 }
 if [[ "$skip_asan" == 0 ]]; then
   run_stage "ASan + LSan lane" stage_asan

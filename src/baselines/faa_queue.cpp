@@ -9,17 +9,14 @@ FaaQueue::Segment::Segment() {
   for (auto& cell : cells) cell.store(kEmpty, std::memory_order_relaxed);
 }
 
-void FaaQueue::free_segment(void* p) { delete static_cast<Segment*>(p); }
-
-FaaQueue::FaaQueue(ReclaimPolicy policy)
-    : reclaim_(make_reclaimer(policy, "baselines.faa_queue")) {
+FaaQueue::FaaQueue() {
   Segment* initial = new Segment();
   head_.value.store(initial, std::memory_order_relaxed);
   tail_.value.store(initial, std::memory_order_relaxed);
 }
 
 FaaQueue::~FaaQueue() {
-  reclaim_->reclaim_all_unsafe();
+  reclaim_.reclaim_all_unsafe();
   Segment* s = head_.value.load(std::memory_order_relaxed);
   while (s != nullptr) {
     Segment* next = s->next.load(std::memory_order_relaxed);
@@ -30,12 +27,9 @@ FaaQueue::~FaaQueue() {
 
 void FaaQueue::enqueue(std::uint64_t value) {
   assert(value != kEmpty && value != kTaken);
-  ReclaimGuard guard(*reclaim_);
+  EbrDomain::Guard guard(reclaim_);
   for (;;) {
-    // Safe to dereference under hazard pointers because a drained segment
-    // is only retired after the tail has been helped past it (see
-    // dequeue), so tail_ == t at validation time implies t is not retired.
-    Segment* t = guard.protect(kSlotAnchor, tail_.value);
+    Segment* t = tail_.value.load(std::memory_order_acquire);
     const std::uint64_t i =
         t->enq_idx.value.fetch_add(1, std::memory_order_acq_rel);
     charge_atomic();
@@ -70,9 +64,9 @@ void FaaQueue::enqueue(std::uint64_t value) {
 }
 
 std::optional<std::uint64_t> FaaQueue::dequeue() {
-  ReclaimGuard guard(*reclaim_);
+  EbrDomain::Guard guard(reclaim_);
   for (;;) {
-    Segment* h = guard.protect(kSlotAnchor, head_.value);
+    Segment* h = head_.value.load(std::memory_order_acquire);
     // Empty probe before consuming a ticket, so an idle dequeuer does not
     // burn cells forever on an empty queue.
     const std::uint64_t deq = h->deq_idx.value.load(std::memory_order_acquire);
@@ -92,9 +86,10 @@ std::optional<std::uint64_t> FaaQueue::dequeue() {
       continue;  // overtook the enqueuer: cell burned, try the next ticket
     }
     // Segment drained: advance the head and retire the old segment. The
-    // tail must be helped off `h` first — otherwise an enqueuer could
-    // validate tail_ == h after h was retired and touch freed memory.
-    Segment* next = guard.protect(kSlotNext, h->next);
+    // tail must be helped off `h` first — otherwise an enqueuer entering
+    // after h was retired could still load tail_ == h and touch freed
+    // memory.
+    Segment* next = h->next.load(std::memory_order_acquire);
     if (next == nullptr) return std::nullopt;
     Segment* t = tail_.value.load(std::memory_order_acquire);
     if (t == h) {
@@ -102,7 +97,7 @@ std::optional<std::uint64_t> FaaQueue::dequeue() {
     }
     if (head_.value.compare_exchange_strong(h, next,
                                             std::memory_order_acq_rel)) {
-      guard.retire(h, &FaaQueue::free_segment);
+      guard.retire(h);
     }
   }
 }

@@ -3,18 +3,17 @@
 // & Ramalhete): each segment holds a cell array with fetch-and-add enqueue
 // and dequeue tickets, so the hot path is one F&A on a shared counter plus
 // one (usually uncontended) cell operation, rather than a CAS retry loop.
-// Segments chain like a Michael-Scott queue and are reclaimed through the
-// pluggable Reclaimer seam (common/reclaim.hpp: EBR or hazard pointers).
+// Segments chain like a Michael-Scott queue and are reclaimed by
+// epoch-based reclamation (common/ebr.hpp).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "common/cacheline.hpp"
+#include "common/ebr.hpp"
 #include "common/latency.hpp"
-#include "common/reclaim.hpp"
 
 namespace pimds::baselines {
 
@@ -22,7 +21,7 @@ class FaaQueue {
  public:
   static constexpr std::size_t kSegmentCells = 1024;
 
-  explicit FaaQueue(ReclaimPolicy policy = ReclaimPolicy::kEbr);
+  FaaQueue();
   ~FaaQueue();
 
   FaaQueue(const FaaQueue&) = delete;
@@ -32,7 +31,7 @@ class FaaQueue {
   void enqueue(std::uint64_t value);
   std::optional<std::uint64_t> dequeue();
 
-  Reclaimer& reclaimer() noexcept { return *reclaim_; }
+  EbrDomain& reclaimer() noexcept { return reclaim_; }
 
  private:
   // Cell protocol: kEmpty -> value (enqueuer claims it), or
@@ -50,15 +49,9 @@ class FaaQueue {
     std::atomic<std::uint64_t> cells[kSegmentCells];
   };
 
-  // Hazard-slot naming: 0 = head/tail anchor, 1 = the successor segment.
-  static constexpr unsigned kSlotAnchor = 0;
-  static constexpr unsigned kSlotNext = 1;
-
-  static void free_segment(void* p);
-
   CachePadded<std::atomic<Segment*>> head_;
   CachePadded<std::atomic<Segment*>> tail_;
-  std::unique_ptr<Reclaimer> reclaim_;
+  EbrDomain reclaim_{"baselines.faa_queue"};
 };
 
 }  // namespace pimds::baselines

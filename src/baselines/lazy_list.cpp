@@ -11,14 +11,13 @@ constexpr std::uint64_t kHeadKey = 0;
 constexpr std::uint64_t kTailKey = std::numeric_limits<std::uint64_t>::max();
 }  // namespace
 
-LazyList::LazyList(ReclaimPolicy policy)
-    : reclaim_(make_reclaimer(policy, "baselines.lazy_list")) {
+LazyList::LazyList() {
   Node* tail = new Node(kTailKey, nullptr);
   head_ = new Node(kHeadKey, tail);
 }
 
 LazyList::~LazyList() {
-  reclaim_->reclaim_all_unsafe();  // frees unlinked-but-unreclaimed nodes
+  reclaim_.reclaim_all_unsafe();  // frees unlinked-but-unreclaimed nodes
   Node* n = head_;
   while (n != nullptr) {
     Node* next = n->next.load(std::memory_order_relaxed);
@@ -27,40 +26,24 @@ LazyList::~LazyList() {
   }
 }
 
-void LazyList::locate(ReclaimGuard& guard, std::uint64_t key, Node*& prev,
-                      Node*& curr) const {
-  const bool hp = guard.validating();
-  for (;;) {  // outer loop only re-entered under hazard pointers
-    prev = head_;
+void LazyList::locate(std::uint64_t key, Node*& prev, Node*& curr) const {
+  prev = head_;
+  charge_cpu_access();
+  curr = prev->next.load(std::memory_order_acquire);
+  while (curr->key < key) {
     charge_cpu_access();
-    curr = guard.protect(kSlotCurr, prev->next);
-    bool restart = false;
-    while (curr->key < key) {
-      charge_cpu_access();
-      prev = curr;
-      guard.republish(kSlotPrev, prev);  // prev stays covered by old hazard
-      curr = guard.protect(kSlotCurr, prev->next);
-      // If prev is unmarked here, it was reachable when the curr hazard
-      // was validated, so curr cannot have been retired before the hazard
-      // published. A marked prev's next is frozen and may lead into
-      // already-retired nodes — restart from the head. (EBR never needs
-      // this: the guard pins the whole epoch.)
-      if (hp && prev->marked.load(std::memory_order_acquire)) {
-        restart = true;
-        break;
-      }
-    }
-    if (!restart) return;
+    prev = curr;
+    curr = prev->next.load(std::memory_order_acquire);
   }
 }
 
 bool LazyList::add(std::uint64_t key) {
   assert(key > kHeadKey && key < kTailKey);
-  ReclaimGuard guard(*reclaim_);
+  EbrDomain::Guard guard(reclaim_);
   for (;;) {
     Node* prev;
     Node* curr;
-    locate(guard, key, prev, curr);
+    locate(key, prev, curr);
     std::scoped_lock both(prev->lock, curr->lock);
     if (!validate(prev, curr)) continue;  // raced with a remove: retry
     if (curr->key == key) return false;
@@ -73,11 +56,11 @@ bool LazyList::add(std::uint64_t key) {
 
 bool LazyList::remove(std::uint64_t key) {
   assert(key > kHeadKey && key < kTailKey);
-  ReclaimGuard guard(*reclaim_);
+  EbrDomain::Guard guard(reclaim_);
   for (;;) {
     Node* prev;
     Node* curr;
-    locate(guard, key, prev, curr);
+    locate(key, prev, curr);
     std::scoped_lock both(prev->lock, curr->lock);
     if (!validate(prev, curr)) continue;
     if (curr->key != key) return false;
@@ -92,13 +75,10 @@ bool LazyList::remove(std::uint64_t key) {
 
 bool LazyList::contains(std::uint64_t key) {
   assert(key > kHeadKey && key < kTailKey);
-  ReclaimGuard guard(*reclaim_);
-  // The original wait-free walk is only sound under EBR (any reachable-at-
-  // guard-entry node stays allocated). Hazard pointers need the validating
-  // hand-over-hand walk, so both paths share locate().
+  EbrDomain::Guard guard(reclaim_);
   Node* prev;
   Node* curr;
-  locate(guard, key, prev, curr);
+  locate(key, prev, curr);
   return curr->key == key && !curr->marked.load(std::memory_order_acquire);
 }
 

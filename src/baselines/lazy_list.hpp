@@ -5,23 +5,21 @@
 // Lock-free contains; add/remove lock only the two affected nodes and
 // re-validate. Removal marks before unlinking, so traversals that hold a
 // reference to a victim still see a consistent (marked) node; unlinked
-// nodes are reclaimed through the pluggable Reclaimer seam
-// (common/reclaim.hpp: EBR or hazard pointers).
+// nodes are reclaimed by epoch-based reclamation (common/ebr.hpp).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
 #include "baselines/spinlock.hpp"
+#include "common/ebr.hpp"
 #include "common/latency.hpp"
-#include "common/reclaim.hpp"
 
 namespace pimds::baselines {
 
 class LazyList {
  public:
-  explicit LazyList(ReclaimPolicy policy = ReclaimPolicy::kEbr);
+  LazyList();
   ~LazyList();
 
   LazyList(const LazyList&) = delete;
@@ -35,7 +33,7 @@ class LazyList {
     return size_.load(std::memory_order_relaxed);
   }
 
-  Reclaimer& reclaimer() noexcept { return *reclaim_; }
+  EbrDomain& reclaimer() noexcept { return reclaim_; }
 
  private:
   struct Node {
@@ -47,25 +45,19 @@ class LazyList {
     Node(std::uint64_t k, Node* n) : key(k), next(n) {}
   };
 
-  // Hazard-slot naming for the hand-over-hand traversal.
-  static constexpr unsigned kSlotPrev = 0;
-  static constexpr unsigned kSlotCurr = 1;
-
   static bool validate(const Node* prev, const Node* curr) {
     return !prev->marked.load(std::memory_order_acquire) &&
            !curr->marked.load(std::memory_order_acquire) &&
            prev->next.load(std::memory_order_acquire) == curr;
   }
 
-  /// Unsynchronized search; `guard` must be the caller's live guard. Under
-  /// hazard pointers the walk restarts from the head when `prev` turns out
-  /// to be marked (its frozen next pointer may lead into retired nodes).
-  void locate(ReclaimGuard& guard, std::uint64_t key, Node*& prev,
-              Node*& curr) const;
+  /// Unsynchronized search; the caller must hold a guard, which keeps
+  /// every node reachable at guard entry allocated.
+  void locate(std::uint64_t key, Node*& prev, Node*& curr) const;
 
   Node* head_;
   std::atomic<std::size_t> size_{0};
-  std::unique_ptr<Reclaimer> reclaim_;
+  EbrDomain reclaim_{"baselines.lazy_list"};
 };
 
 }  // namespace pimds::baselines

@@ -37,8 +37,7 @@ LockFreeSkipList::Node* LockFreeSkipList::make_node(std::uint64_t key,
 
 void LockFreeSkipList::free_node(void* p) { operator delete(p); }
 
-LockFreeSkipList::LockFreeSkipList(ReclaimPolicy policy)
-    : reclaim_(make_reclaimer(policy, "baselines.lockfree_skiplist")) {
+LockFreeSkipList::LockFreeSkipList() {
   head_ = make_node(kHeadKey, kMaxHeight - 1);
   tail_ = make_node(kTailKey, kMaxHeight - 1);
   for (int lvl = 0; lvl < kMaxHeight; ++lvl) {
@@ -48,7 +47,7 @@ LockFreeSkipList::LockFreeSkipList(ReclaimPolicy policy)
 }
 
 LockFreeSkipList::~LockFreeSkipList() {
-  reclaim_->reclaim_all_unsafe();
+  reclaim_.reclaim_all_unsafe();
   Node* n = head_;
   while (n != nullptr) {
     Node* next = ptr_of(n->next[0].load(std::memory_order_relaxed));
@@ -63,35 +62,15 @@ int LockFreeSkipList::random_height() {
   return h;
 }
 
-// Hazard-pointer safety sketch (all of it folds away under EBR, where the
-// guard pins the epoch and every protect is a plain acquire load):
-//   - pred is covered continuously: it starts as the immortal head and only
-//     advances to nodes already covered by the curr hazard (republish).
-//   - protect_word validates the full word, so an unmarked stable
-//     pred->next[lvl] proves pred was not logically deleted at that level
-//     at validation time — hence still physically linked (unlink requires
-//     the mark first), hence curr was reachable and not yet retired when
-//     the hazard published.
-//   - a marked word read through pred means pred's next is frozen and may
-//     lead into retired nodes: restart from the head.
-//   - in the helping loop the unlink CAS's success proves curr was still
-//     pred's live successor, so the frozen curr->next target (succ, hazard
-//     published before the CAS) had not been retired before publication.
-bool LockFreeSkipList::find(ReclaimGuard& guard, std::uint64_t key,
-                            Node** preds, Node** succs) {
-  const bool hp = guard.validating();
+bool LockFreeSkipList::find(std::uint64_t key, Node** preds, Node** succs) {
 retry:
   Node* pred = head_;
-  guard.republish(kSlotPred, pred);
   for (int lvl = kMaxHeight - 1; lvl >= 0; --lvl) {
-    std::uintptr_t curr_word =
-        guard.protect_word(kSlotCurr, pred->next[lvl], kPtrMask);
+    Node* curr = ptr_of(pred->next[lvl].load(std::memory_order_acquire));
     charge_cpu_access();
-    if (hp && marked(curr_word)) goto retry;  // pred deleted at this level
-    Node* curr = ptr_of(curr_word);
     for (;;) {
       std::uintptr_t succ_word =
-          guard.protect_word(kSlotSucc, curr->next[lvl], kPtrMask);
+          curr->next[lvl].load(std::memory_order_acquire);
       // Help: physically unlink nodes marked at this level.
       while (marked(succ_word)) {
         Node* succ = ptr_of(succ_word);
@@ -102,15 +81,12 @@ retry:
         }
         charge_atomic();
         curr = succ;
-        guard.republish(kSlotCurr, curr);  // still covered by the succ slot
-        succ_word = guard.protect_word(kSlotSucc, curr->next[lvl], kPtrMask);
+        succ_word = curr->next[lvl].load(std::memory_order_acquire);
         charge_cpu_access();
       }
       if (curr->key < key) {
         pred = curr;
-        guard.republish(kSlotPred, pred);
         curr = ptr_of(succ_word);
-        guard.republish(kSlotCurr, curr);
         charge_cpu_access();
       } else {
         break;
@@ -118,21 +94,19 @@ retry:
     }
     preds[lvl] = pred;
     succs[lvl] = curr;
-    guard.republish(pred_slot(lvl), pred);
-    guard.republish(succ_slot(lvl), curr);
   }
   return succs[0]->key == key;
 }
 
 bool LockFreeSkipList::add(std::uint64_t key) {
   assert(key > kHeadKey && key < kTailKey);
-  ReclaimGuard guard(*reclaim_);
+  EbrDomain::Guard guard(reclaim_);
   const int top = random_height() - 1;
   Node* preds[kMaxHeight];
   Node* succs[kMaxHeight];
   Node* node = nullptr;
   for (;;) {
-    if (find(guard, key, preds, succs)) {
+    if (find(key, preds, succs)) {
       if (node != nullptr) free_node(node);  // never linked: safe to free
       return false;
     }
@@ -150,8 +124,8 @@ bool LockFreeSkipList::add(std::uint64_t key) {
     charge_atomic();
     size_.fetch_add(1, std::memory_order_relaxed);
     if (top > 0) {
-      // The builder's hold keeps the node from being retired under it, so
-      // the build needs no hazard of its own.
+      // The builder's hold keeps a racing remover from retiring the node
+      // while its upper levels may still be linked.
       build_tower(node, preds, succs);
       release(guard, node);
     }
@@ -181,7 +155,7 @@ void LockFreeSkipList::build_tower(Node* node, Node* const* preds,
   }
 }
 
-void LockFreeSkipList::release(ReclaimGuard& guard, Node* node) {
+void LockFreeSkipList::release(EbrDomain::Guard& guard, Node* node) {
   if (node->holds.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
   // Both sides are done: the node is marked on every level and nothing
   // links it again, so one helping find unlinks it everywhere. The find
@@ -189,17 +163,17 @@ void LockFreeSkipList::release(ReclaimGuard& guard, Node* node) {
   // linked in front of it (build_tower).
   Node* preds[kMaxHeight];
   Node* succs[kMaxHeight];
-  find(guard, node->key, preds, succs);
+  find(node->key, preds, succs);
   guard.retire(node, &LockFreeSkipList::free_node);
 }
 
 bool LockFreeSkipList::remove(std::uint64_t key) {
   assert(key > kHeadKey && key < kTailKey);
-  ReclaimGuard guard(*reclaim_);
+  EbrDomain::Guard guard(reclaim_);
   Node* preds[kMaxHeight];
   Node* succs[kMaxHeight];
-  if (!find(guard, key, preds, succs)) return false;
-  Node* victim = succs[0];  // pinned by succ_slot(0) until the guard drops
+  if (!find(key, preds, succs)) return false;
+  Node* victim = succs[0];
   // Mark the upper levels top-down; contention is benign.
   for (int lvl = victim->top_level; lvl >= 1; --lvl) {
     std::uintptr_t w = victim->next[lvl].load(std::memory_order_acquire);
@@ -225,15 +199,7 @@ bool LockFreeSkipList::remove(std::uint64_t key) {
 
 bool LockFreeSkipList::contains(std::uint64_t key) {
   assert(key > kHeadKey && key < kTailKey);
-  ReclaimGuard guard(*reclaim_);
-  if (guard.validating()) {
-    // The wait-free walk below skips through marked nodes without hazards,
-    // which is unsound once retired nodes can be freed under a live guard;
-    // hazard pointers take the validating (helping) find() instead.
-    Node* preds[kMaxHeight];
-    Node* succs[kMaxHeight];
-    return find(guard, key, preds, succs);
-  }
+  EbrDomain::Guard guard(reclaim_);
   Node* pred = head_;
   Node* curr = nullptr;
   for (int lvl = kMaxHeight - 1; lvl >= 0; --lvl) {

@@ -1,18 +1,16 @@
 // Lock-free skip-list (Herlihy & Shavit, "The Art of Multiprocessor
-// Programming" — the paper's citation [27]), with pluggable safe-memory
-// reclamation (common/reclaim.hpp: EBR or hazard pointers).
+// Programming" — the paper's citation [27]), with epoch-based reclamation
+// of unlinked nodes (common/ebr.hpp).
 //
 // Deleted nodes are marked (low tag bit on each forward pointer) before
-// being physically unlinked by helping traversals; contains() is wait-free
-// under EBR and shares the validating find() under hazard pointers.
+// being physically unlinked by helping traversals; contains() is wait-free.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 
+#include "common/ebr.hpp"
 #include "common/latency.hpp"
-#include "common/reclaim.hpp"
 #include "common/rng.hpp"
 
 namespace pimds::baselines {
@@ -21,7 +19,7 @@ class LockFreeSkipList {
  public:
   static constexpr int kMaxHeight = 16;
 
-  explicit LockFreeSkipList(ReclaimPolicy policy = ReclaimPolicy::kEbr);
+  LockFreeSkipList();
   ~LockFreeSkipList();
 
   LockFreeSkipList(const LockFreeSkipList&) = delete;
@@ -36,7 +34,7 @@ class LockFreeSkipList {
     return size_.load(std::memory_order_relaxed);
   }
 
-  Reclaimer& reclaimer() noexcept { return *reclaim_; }
+  EbrDomain& reclaimer() noexcept { return reclaim_; }
 
  private:
   struct Node;
@@ -51,7 +49,6 @@ class LockFreeSkipList {
     return reinterpret_cast<std::uintptr_t>(p) |
            static_cast<std::uintptr_t>(mark);
   }
-  static constexpr std::uintptr_t kPtrMask = ~std::uintptr_t{1};
 
   struct Node {
     std::uint64_t key;
@@ -63,30 +60,13 @@ class LockFreeSkipList {
     std::atomic<std::uintptr_t> next[1];
   };
 
-  // Hazard-slot layout. The traversal slots rotate hand-over-hand; the
-  // per-level slots keep every preds[lvl]/succs[lvl] pinned from the find()
-  // that produced them until the guard (or the next find) releases them.
-  // Max slot used: succ_slot(15) = 34 < Reclaimer::kGuardSlots.
-  static constexpr unsigned kSlotPred = 0;
-  static constexpr unsigned kSlotCurr = 1;
-  static constexpr unsigned kSlotSucc = 2;
-  static constexpr unsigned pred_slot(int lvl) noexcept {
-    return 3 + 2 * static_cast<unsigned>(lvl);
-  }
-  static constexpr unsigned succ_slot(int lvl) noexcept {
-    return 4 + 2 * static_cast<unsigned>(lvl);
-  }
-
   static Node* make_node(std::uint64_t key, int top_level);
   static void free_node(void* p);
 
   /// Herlihy-Shavit find(): fills preds/succs on every level, physically
   /// unlinking marked nodes along the way. Returns true if an unmarked node
-  /// with `key` sits at level 0. `guard` must be the caller's live guard;
-  /// under hazard pointers every preds/succs entry is left protected by its
-  /// per-level slot.
-  bool find(ReclaimGuard& guard, std::uint64_t key, Node** preds,
-            Node** succs);
+  /// with `key` sits at level 0. The caller must hold a guard.
+  bool find(std::uint64_t key, Node** preds, Node** succs);
 
   /// Links `node` (already spliced at level 0) on levels 1..top_level
   /// through the windows its find produced, stopping at the first level
@@ -97,14 +77,14 @@ class LockFreeSkipList {
   /// and retires it. A node must be unreachable when it is retired, and a
   /// tower build that lost the race to a remover can still link a level
   /// after the remover's unlinking find — so neither side retires alone.
-  void release(ReclaimGuard& guard, Node* node);
+  void release(EbrDomain::Guard& guard, Node* node);
 
   int random_height();
 
   Node* head_;
   Node* tail_;
   std::atomic<std::size_t> size_{0};
-  std::unique_ptr<Reclaimer> reclaim_;
+  EbrDomain reclaim_{"baselines.lockfree_skiplist"};
 };
 
 }  // namespace pimds::baselines

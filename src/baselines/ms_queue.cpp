@@ -2,15 +2,14 @@
 
 namespace pimds::baselines {
 
-MsQueue::MsQueue(ReclaimPolicy policy)
-    : reclaim_(make_reclaimer(policy, "baselines.ms_queue")) {
+MsQueue::MsQueue() {
   Node* dummy = new Node(0);
   head_.value.store(dummy, std::memory_order_relaxed);
   tail_.value.store(dummy, std::memory_order_relaxed);
 }
 
 MsQueue::~MsQueue() {
-  reclaim_->reclaim_all_unsafe();
+  reclaim_.reclaim_all_unsafe();
   Node* n = head_.value.load(std::memory_order_relaxed);
   while (n != nullptr) {
     Node* next = n->next.load(std::memory_order_relaxed);
@@ -20,14 +19,11 @@ MsQueue::~MsQueue() {
 }
 
 void MsQueue::enqueue(std::uint64_t value) {
-  ReclaimGuard guard(*reclaim_);
+  EbrDomain::Guard guard(reclaim_);
   Node* node = new Node(value);
   charge_cpu_access();  // the node write
   for (;;) {
-    // protect() re-validates tail_ == last after publishing, which is what
-    // makes dereferencing `last` safe under hazard pointers: the tail never
-    // points at a retired node (dequeue never advances head past the tail).
-    Node* last = guard.protect(kSlotAnchor, tail_.value);
+    Node* last = tail_.value.load(std::memory_order_acquire);
     Node* next = last->next.load(std::memory_order_acquire);
     if (last != tail_.value.load(std::memory_order_acquire)) continue;
     if (next == nullptr) {
@@ -47,14 +43,13 @@ void MsQueue::enqueue(std::uint64_t value) {
 }
 
 std::optional<std::uint64_t> MsQueue::dequeue() {
-  ReclaimGuard guard(*reclaim_);
+  EbrDomain::Guard guard(reclaim_);
   for (;;) {
-    Node* first = guard.protect(kSlotAnchor, head_.value);
+    Node* first = head_.value.load(std::memory_order_acquire);
     Node* last = tail_.value.load(std::memory_order_acquire);
-    Node* next = guard.protect(kSlotNext, first->next);
-    // Re-check AFTER the hazard on `next` is published: head_ == first
-    // proves first is not yet retired, hence its successor not yet either
-    // (Michael's dequeue protocol).
+    Node* next = first->next.load(std::memory_order_acquire);
+    // Consistent snapshot: head_ still equals first, so `next` is first's
+    // successor as of now (Michael & Scott's dequeue).
     if (first != head_.value.load(std::memory_order_acquire)) continue;
     if (next == nullptr) return std::nullopt;  // empty
     if (first == last) {

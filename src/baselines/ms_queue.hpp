@@ -1,5 +1,5 @@
-// Michael-Scott lock-free FIFO queue, with pluggable safe-memory
-// reclamation (common/reclaim.hpp: EBR or hazard pointers).
+// Michael-Scott lock-free FIFO queue, with epoch-based reclamation of
+// dequeued nodes (common/ebr.hpp).
 // Classic CAS-based baseline: both ends contend on a single cache line
 // each, so throughput flattens under load — the motivating pathology for
 // Section 5's contended-structure discussion.
@@ -7,18 +7,17 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 
 #include "common/cacheline.hpp"
+#include "common/ebr.hpp"
 #include "common/latency.hpp"
-#include "common/reclaim.hpp"
 
 namespace pimds::baselines {
 
 class MsQueue {
  public:
-  explicit MsQueue(ReclaimPolicy policy = ReclaimPolicy::kEbr);
+  MsQueue();
   ~MsQueue();
 
   MsQueue(const MsQueue&) = delete;
@@ -27,13 +26,7 @@ class MsQueue {
   void enqueue(std::uint64_t value);
   std::optional<std::uint64_t> dequeue();
 
-  bool empty() const noexcept {
-    ReclaimGuard guard(*reclaim_);
-    const Node* h = guard.protect(0, head_.value);
-    return h->next.load(std::memory_order_acquire) == nullptr;
-  }
-
-  Reclaimer& reclaimer() noexcept { return *reclaim_; }
+  EbrDomain& reclaimer() noexcept { return reclaim_; }
 
  private:
   struct Node {
@@ -43,13 +36,9 @@ class MsQueue {
     explicit Node(std::uint64_t v) : value(v) {}
   };
 
-  // Hazard-slot naming: 0 = head/tail anchor, 1 = the successor.
-  static constexpr unsigned kSlotAnchor = 0;
-  static constexpr unsigned kSlotNext = 1;
-
   CachePadded<std::atomic<Node*>> head_;  // dummy-node convention
   CachePadded<std::atomic<Node*>> tail_;
-  std::unique_ptr<Reclaimer> reclaim_;
+  EbrDomain reclaim_{"baselines.ms_queue"};
 };
 
 }  // namespace pimds::baselines

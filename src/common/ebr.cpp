@@ -1,5 +1,6 @@
 #include "common/ebr.hpp"
 
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -20,7 +21,7 @@ thread_local std::vector<SlotClaim> t_claims;
 
 }  // namespace
 
-EbrDomain::EbrDomain(std::string domain) : Reclaimer(/*validating=*/false) {
+EbrDomain::EbrDomain(std::string domain) {
   if (!domain.empty()) {
     auto& reg = obs::Registry::instance();
     const std::string base = "reclaim." + domain + ".ebr.";
@@ -70,18 +71,14 @@ std::size_t EbrDomain::my_slot_index() {
   std::abort();
 }
 
-void* EbrDomain::guard_enter() {
+EbrDomain::ThreadSlot& EbrDomain::enter() noexcept {
   ThreadSlot& slot = slots_[my_slot_index()];
   const std::uint64_t e = global_epoch_.value.load(std::memory_order_acquire);
   slot.state.store((e << 1) | 1, std::memory_order_relaxed);
   // The pin must be visible before any read of shared structure; a seq_cst
   // fence pairs with the scan in try_advance_and_reclaim.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  return &slot;
-}
-
-void EbrDomain::guard_exit(void* ctx) noexcept {
-  static_cast<ThreadSlot*>(ctx)->state.store(0, std::memory_order_release);
+  return slot;
 }
 
 void EbrDomain::note_freed(std::size_t n) noexcept {
@@ -94,8 +91,7 @@ void EbrDomain::note_freed(std::size_t n) noexcept {
   }
 }
 
-void EbrDomain::retire_erased(void* p, void (*deleter)(void*)) {
-  ThreadSlot& slot = slots_[my_slot_index()];
+void EbrDomain::retire(ThreadSlot& slot, void* p, void (*deleter)(void*)) {
   assert((slot.state.load(std::memory_order_relaxed) & 1) &&
          "retire() requires an active Guard");
   retired_.fetch_add(1, std::memory_order_relaxed);

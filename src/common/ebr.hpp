@@ -1,24 +1,26 @@
-// Epoch-based memory reclamation (EBR) for lock-free structures.
+// Epoch-based memory reclamation (EBR) for the lock-free baselines.
 //
-// One of two implementations of the Reclaimer seam (common/reclaim.hpp);
-// the other is hazard pointers (common/hazard.hpp). EBR has the cheapest
-// possible read side — a guard pins the global epoch and individual
-// pointers need no protection — at the cost of unbounded garbage while any
-// reader stalls inside a guard. Classic 3-epoch scheme (Fraser): readers
-// pin the global epoch on entry; retired nodes are freed once every pinned
-// reader has observed a newer epoch (two global epoch advances).
+// Classic 3-epoch scheme (Fraser): readers pin the global epoch on entry;
+// retired nodes are freed once every pinned reader has observed a newer
+// epoch (two global epoch advances). The read side is as cheap as it gets
+// — a guard pins the epoch and individual pointers need no protection, so
+// a traversal inside a guard is plain acquire loads — at the cost of
+// unbounded garbage while any reader stalls inside a guard.
+//
+//   EbrDomain::Guard guard(domain);          // RAII critical section
+//   Node* n = head.load(std::memory_order_acquire);
+//   ...traverse n...
+//   guard.retire(victim);                    // deferred free (inside guard)
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/cacheline.hpp"
-#include "common/reclaim.hpp"
 
 namespace pimds {
 
@@ -28,11 +30,23 @@ class Gauge;
 class Histogram;
 }  // namespace obs
 
+/// Point-in-time accounting for one reclamation domain.
+struct ReclaimStats {
+  std::uint64_t retired = 0;       ///< nodes handed to retire() so far
+  std::uint64_t freed = 0;         ///< nodes whose deleter has run
+  std::uint64_t in_flight = 0;     ///< retired - freed (the backlog)
+  std::uint64_t slots_in_use = 0;  ///< per-thread participant slots claimed
+  std::uint64_t scans = 0;         ///< epoch-advance attempts
+  std::uint64_t stalls = 0;        ///< advances blocked by a lagging reader
+};
+
 /// One reclamation domain. Threads participate via thread-local slots
 /// claimed on first use; at most kMaxThreads threads may ever enter, and
 /// the kMaxThreads+1'th participant aborts with a diagnostic instead of
 /// corrupting a neighbor's slot.
-class EbrDomain final : public Reclaimer {
+class EbrDomain {
+  struct ThreadSlot;
+
  public:
   static constexpr std::size_t kMaxThreads = 256;
   /// Retired nodes buffered per thread before attempting an epoch advance.
@@ -42,31 +56,46 @@ class EbrDomain final : public Reclaimer {
   /// (`reclaim.<domain>.ebr.*`); empty skips metric registration (anonymous
   /// short-lived domains in tests/benches).
   explicit EbrDomain(std::string domain = "");
-  ~EbrDomain() override { reclaim_all_unsafe(); }
+  ~EbrDomain() { reclaim_all_unsafe(); }
 
   EbrDomain(const EbrDomain&) = delete;
   EbrDomain& operator=(const EbrDomain&) = delete;
 
-  /// RAII critical-section guard (seam-wide type). While alive, nodes
-  /// retired by other threads in the current epoch will not be freed.
-  using Guard = ReclaimGuard;
+  /// RAII read-side critical section. Stack-only. While alive, nodes
+  /// retired by any thread in the current epoch will not be freed.
+  class Guard {
+   public:
+    explicit Guard(EbrDomain& domain) noexcept
+        : domain_(domain), slot_(domain.enter()) {}
+    ~Guard();
 
-  // Reclaimer interface -----------------------------------------------------
-  const char* policy_name() const noexcept override { return "ebr"; }
-  void retire_erased(void* p, void (*deleter)(void*)) override;
-  using Reclaimer::retire;
+    Guard(const Guard&) = delete;
+    Guard& operator=(const Guard&) = delete;
+
+    /// Defer `delete p` until no reader can hold a reference.
+    template <typename T>
+    void retire(T* p) {
+      retire(p, [](void* q) { delete static_cast<T*>(q); });
+    }
+    void retire(void* p, void (*deleter)(void*)) {
+      domain_.retire(slot_, p, deleter);
+    }
+
+   private:
+    EbrDomain& domain_;
+    ThreadSlot& slot_;
+  };
 
   /// Tries to advance the epoch and drain the calling thread's limbo lists
   /// (one pass per epoch bucket). Bounds the backlog after a stall clears.
-  void flush() override;
+  void flush();
 
   /// Frees everything immediately. Only safe when no thread is inside a
   /// Guard (e.g. single-threaded teardown).
-  void reclaim_all_unsafe() override;
+  void reclaim_all_unsafe();
 
-  ReclaimStats stats() const override;
+  ReclaimStats stats() const;
 
-  // Introspection -----------------------------------------------------------
   /// Number of retired-but-unreclaimed nodes owned by the calling thread.
   std::size_t pending_local() const;
 
@@ -95,8 +124,9 @@ class EbrDomain final : public Reclaimer {
     std::uint64_t limbo_epoch[3] = {0, 0, 0};
   };
 
-  void* guard_enter() override;
-  void guard_exit(void* ctx) noexcept override;
+  /// Pins the calling thread's slot to the current epoch (Guard entry).
+  ThreadSlot& enter() noexcept;
+  void retire(ThreadSlot& slot, void* p, void (*deleter)(void*));
 
   std::size_t my_slot_index();
   void try_advance_and_reclaim(ThreadSlot& slot);
@@ -126,5 +156,9 @@ class EbrDomain final : public Reclaimer {
   obs::Gauge* m_slots_ = nullptr;
   obs::Histogram* m_scan_ns_ = nullptr;
 };
+
+inline EbrDomain::Guard::~Guard() {
+  slot_.state.store(0, std::memory_order_release);
+}
 
 }  // namespace pimds

@@ -9,7 +9,6 @@ FatArena& FatArena::instance() {
 
 FatArena::FatArena()
     : pool_(kPoolCapacity),
-      reclaim_(make_reclaimer(ReclaimPolicy::kEbr, "fat_arena")),
       acquires_(obs::Registry::instance().counter("runtime.fat_arena.acquires")),
       releases_(obs::Registry::instance().counter("runtime.fat_arena.releases")),
       heap_allocs_(
@@ -24,22 +23,13 @@ FatEntry* FatArena::acquire() {
 
 void FatArena::release(FatEntry* block) {
   releases_.add(1);
-  ReclaimGuard guard(*reclaim_);
-  guard.retire(block, &FatArena::recycle);
+  if (!pool_.try_push(block)) delete[] block;
 }
 
 // The arena is a function-local static, so this runs single-threaded at
-// process exit, after every PimSystem has joined its cores. Retired blocks
-// go back to the pool first; then the pool is emptied.
+// process exit, after every PimSystem has joined its cores.
 FatArena::~FatArena() {
-  reclaim_->reclaim_all_unsafe();
   while (std::optional<FatEntry*> block = pool_.try_pop()) delete[] *block;
-}
-
-// Runs when the reclaimer frees a retired block.
-void FatArena::recycle(void* p) {
-  auto* block = static_cast<FatEntry*>(p);
-  if (!instance().pool_.try_push(block)) delete[] block;
 }
 
 }  // namespace pimds::runtime

@@ -4,16 +4,14 @@
 // message, so the combiner borrows a fixed-size block of kMaxFatEntries
 // FatEntry slots here, fills it, and ships the pointer. The serving PIM
 // core returns the block after decoding (release_fat_payload). Blocks
-// cycle through a lock-free pool, so the steady-state request path does no
-// heap allocation — the pool only grows to the peak number of batches in
-// flight.
+// cycle through a lock-free pool, so once the pool holds the peak number
+// of batches in flight the request path does no heap allocation.
 //
-// Reclamation runs through the pluggable seam (common/reclaim.hpp):
-// release() retires the block instead of recycling it immediately, so a
-// block can never re-enter the pool — and be handed to another sender —
-// while any thread still inside a read-side guard could be reading it.
-// That makes the recycling ABA-free without a tagged-pointer freelist.
-// The arena retires through EBR.
+// release() pushes the block straight back into the pool. That is safe
+// because every caller releases after the block's last read, and the pool
+// is a bounded MPMC ring with per-cell sequence numbers
+// (common/mpmc_queue.hpp), not a pointer freelist, so recycling has no ABA
+// problem. A release that finds the pool full frees the block.
 //
 // outstanding() (acquired minus released) is the leak detector the
 // shutdown balance assertions use: after a system quiesces it must be zero
@@ -21,10 +19,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/mpmc_queue.hpp"
-#include "common/reclaim.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/message.hpp"
 
@@ -32,14 +28,14 @@ namespace pimds::runtime {
 
 class FatArena {
  public:
-  /// Pool capacity: blocks beyond this many simultaneously retired fall
-  /// back to the heap deleter instead of recycling.
+  /// Pool capacity: blocks released while the pool is full are freed
+  /// instead of recycled.
   static constexpr std::size_t kPoolCapacity = 1024;
 
   static FatArena& instance();
 
-  /// Process-exit teardown: frees every retired and pooled block, so leak
-  /// checkers see the pool released.
+  /// Process-exit teardown: frees every pooled block, so leak checkers see
+  /// the pool released.
   ~FatArena();
 
   FatArena(const FatArena&) = delete;
@@ -48,8 +44,7 @@ class FatArena {
   /// Borrow a block of kMaxFatEntries entries (pool hit or heap growth).
   FatEntry* acquire();
 
-  /// Return a block. Safe from any thread; the block re-enters the pool
-  /// only after the reclaimer proves no reader can still reference it.
+  /// Return a block after its last read. Safe from any thread.
   void release(FatEntry* block);
 
   /// Blocks acquired but not yet released. Zero once every fat message has
@@ -61,16 +56,10 @@ class FatArena {
   /// Heap allocations (pool misses); steady state stops growing this.
   std::uint64_t heap_allocs() const noexcept { return heap_allocs_.value(); }
 
-  /// The arena's reclamation domain (metrics name "reclaim.fat_arena.*").
-  Reclaimer& reclaimer() noexcept { return *reclaim_; }
-
  private:
   FatArena();
 
-  static void recycle(void* p);  ///< deferred deleter: pool push or delete[]
-
   MpmcQueue<FatEntry*> pool_;
-  std::unique_ptr<Reclaimer> reclaim_;
   // Registry-owned (runtime.fat_arena.*): process-wide like the arena.
   obs::Counter& acquires_;
   obs::Counter& releases_;

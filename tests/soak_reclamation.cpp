@@ -1,4 +1,4 @@
-// Churn/soak driver for the reclamation seam: sustained insert/delete
+// Churn/soak test for epoch-based reclamation: sustained insert/delete
 // churn over every lock-free baseline while a rotating "parked reader"
 // periodically stalls inside a guard — the exact workload that makes
 // unbounded-garbage bugs (and the EBR stalled-reader pathology) visible.
@@ -10,10 +10,9 @@
 //     a threshold once stalls clear and flush() runs.
 //
 // Hours-capable but minutes-default:
-//   soak_reclamation [--seconds N] [--policy ebr|hp|both]
-//                    [--rss-ceiling-mb M] [--threads T]
-// The ctest registration runs a short smoke (--seconds 2 per policy); CI's
-// soak job runs it under ASan/LSan; nightly/manual runs pass larger
+//   soak_reclamation [--seconds N] [--rss-ceiling-mb M] [--threads T]
+// The ctest registration runs a short smoke (--seconds 2); CI's soak job
+// runs it under ASan/LSan and TSan; nightly/manual runs pass larger
 // --seconds. Exit code 0 = all assertions held.
 #include <atomic>
 #include <chrono>
@@ -22,7 +21,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,7 +30,7 @@
 #include "baselines/lazy_list.hpp"
 #include "baselines/lockfree_skiplist.hpp"
 #include "baselines/ms_queue.hpp"
-#include "common/reclaim.hpp"
+#include "common/ebr.hpp"
 #include "common/rng.hpp"
 #include "common/timing.hpp"
 
@@ -69,7 +67,6 @@ std::size_t rss_bytes() {
 
 struct SoakConfig {
   double seconds = 120.0;  // minutes-default; ctest/CI pass a short value
-  std::string policy = "both";
   std::size_t rss_ceiling_mb = 256;  // growth allowance over the baseline
   unsigned threads = 4;
 };
@@ -78,10 +75,10 @@ struct SoakConfig {
 /// under a mixed workload while one extra thread repeatedly parks inside a
 /// guard for ~10ms at a time (the reclamation stall generator).
 template <typename MakeStructure, typename Op>
-void churn_phase(const char* what, ReclaimPolicy policy, double seconds,
-                 unsigned threads, MakeStructure make, Op op) {
-  auto structure = make(policy);
-  Reclaimer& reclaimer = structure->reclaimer();
+void churn_phase(const char* what, double seconds, unsigned threads,
+                 MakeStructure make, Op op) {
+  auto structure = make();
+  EbrDomain& reclaimer = structure->reclaimer();
   std::atomic<bool> stop{false};
   std::atomic<bool> drain{false};
   std::atomic<unsigned> churning{threads};
@@ -97,12 +94,12 @@ void churn_phase(const char* what, ReclaimPolicy policy, double seconds,
       }
       total_ops.fetch_add(n, std::memory_order_relaxed);
       churning.fetch_sub(1, std::memory_order_release);
-      // Retire lists (EBR limbo / HP retire buffers) are per-thread, so
-      // each worker drains its own backlog — this is the "backlog returns
-      // to bounded once the stall clears" check. The flush must wait until
-      // the parker is gone (drain flag) AND every sibling has left its
-      // final op's guard, or an EBR advance would stall on a still-pinned
-      // reader and silently skip the drain.
+      // Limbo lists are per-thread, so each worker drains its own
+      // backlog — this is the "backlog returns to bounded once the stall
+      // clears" check. The flush must wait until the parker is gone (drain
+      // flag) AND every sibling has left its final op's guard, or an epoch
+      // advance would stall on a still-pinned reader and silently skip the
+      // drain.
       while (!drain.load(std::memory_order_acquire) ||
              churning.load(std::memory_order_acquire) != 0) {
         std::this_thread::yield();
@@ -110,12 +107,12 @@ void churn_phase(const char* what, ReclaimPolicy policy, double seconds,
       reclaimer.flush();
     });
   }
-  // Stall generator: parks a guard, holds it, releases, repeats. Under EBR
-  // this forces epoch stalls; under HP it must NOT unbound the backlog.
+  // Stall generator: parks a guard, holds it, releases, repeats, which
+  // forces epoch stalls.
   std::thread parker([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       {
-        ReclaimGuard guard(reclaimer);
+        EbrDomain::Guard guard(reclaimer);
         const std::uint64_t t0 = now_ns();
         while (now_ns() - t0 < 10'000'000 &&
                !stop.load(std::memory_order_relaxed)) {
@@ -142,18 +139,16 @@ void churn_phase(const char* what, ReclaimPolicy policy, double seconds,
   const ReclaimStats s = reclaimer.stats();
   const std::uint64_t backlog_bound = 64 * (threads + 2);
   SOAK_CHECK(s.in_flight <= backlog_bound,
-             "%s/%s: retire backlog %llu exceeds bound %llu after quiesce",
-             what, to_string(policy),
-             static_cast<unsigned long long>(s.in_flight),
+             "%s: retire backlog %llu exceeds bound %llu after quiesce",
+             what, static_cast<unsigned long long>(s.in_flight),
              static_cast<unsigned long long>(backlog_bound));
-  SOAK_CHECK(s.freed <= s.retired, "%s/%s: freed %llu > retired %llu", what,
-             to_string(policy), static_cast<unsigned long long>(s.freed),
+  SOAK_CHECK(s.freed <= s.retired, "%s: freed %llu > retired %llu", what,
+             static_cast<unsigned long long>(s.freed),
              static_cast<unsigned long long>(s.retired));
   std::printf(
-      "  %-22s %-3s  %8.2f Mops  retired %10llu  freed %10llu  "
+      "  %-22s %8.2f Mops  retired %10llu  freed %10llu  "
       "in-flight %6llu (peak %8llu)  stalls %llu\n",
-      what, to_string(policy),
-      static_cast<double>(total_ops.load()) / seconds * 1e-6,
+      what, static_cast<double>(total_ops.load()) / seconds * 1e-6,
       static_cast<unsigned long long>(s.retired),
       static_cast<unsigned long long>(s.freed),
       static_cast<unsigned long long>(s.in_flight),
@@ -161,16 +156,16 @@ void churn_phase(const char* what, ReclaimPolicy policy, double seconds,
       static_cast<unsigned long long>(s.stalls));
 }
 
-void run_policy(ReclaimPolicy policy, const SoakConfig& cfg) {
+void run_all(const SoakConfig& cfg) {
   // Four structures share the time budget; each phase gets its own
   // instance so teardown (reclaim_all) is exercised every cycle.
   const double per = cfg.seconds / 4.0;
-  std::printf("policy %s (%.1fs per structure, %u churn threads + parker):\n",
-              to_string(policy), per, cfg.threads);
+  std::printf("%.1fs per structure, %u churn threads + parker:\n", per,
+              cfg.threads);
 
   churn_phase(
-      "lazy_list", policy, per, cfg.threads,
-      [](ReclaimPolicy p) { return std::make_unique<LazyList>(p); },
+      "lazy_list", per, cfg.threads,
+      [] { return std::make_unique<LazyList>(); },
       [](LazyList& l, Xoshiro256& rng) {
         const std::uint64_t key = rng.next_in(1, 512);
         switch (rng.next_below(3)) {
@@ -180,8 +175,8 @@ void run_policy(ReclaimPolicy policy, const SoakConfig& cfg) {
         }
       });
   churn_phase(
-      "lockfree_skiplist", policy, per, cfg.threads,
-      [](ReclaimPolicy p) { return std::make_unique<LockFreeSkipList>(p); },
+      "lockfree_skiplist", per, cfg.threads,
+      [] { return std::make_unique<LockFreeSkipList>(); },
       [](LockFreeSkipList& l, Xoshiro256& rng) {
         const std::uint64_t key = rng.next_in(1, 4096);
         switch (rng.next_below(3)) {
@@ -191,8 +186,8 @@ void run_policy(ReclaimPolicy policy, const SoakConfig& cfg) {
         }
       });
   churn_phase(
-      "ms_queue", policy, per, cfg.threads,
-      [](ReclaimPolicy p) { return std::make_unique<MsQueue>(p); },
+      "ms_queue", per, cfg.threads,
+      [] { return std::make_unique<MsQueue>(); },
       [](MsQueue& q, Xoshiro256& rng) {
         if (rng.next_bool(0.5)) {
           q.enqueue(rng.next() >> 2);
@@ -201,8 +196,8 @@ void run_policy(ReclaimPolicy policy, const SoakConfig& cfg) {
         }
       });
   churn_phase(
-      "faa_queue", policy, per, cfg.threads,
-      [](ReclaimPolicy p) { return std::make_unique<FaaQueue>(p); },
+      "faa_queue", per, cfg.threads,
+      [] { return std::make_unique<FaaQueue>(); },
       [](FaaQueue& q, Xoshiro256& rng) {
         if (rng.next_bool(0.5)) {
           q.enqueue(rng.next() >> 2);
@@ -223,8 +218,6 @@ int main(int argc, char** argv) {
     };
     if (std::strcmp(arg, "--seconds") == 0) {
       if (const char* v = next()) cfg.seconds = std::atof(v);
-    } else if (std::strcmp(arg, "--policy") == 0) {
-      if (const char* v = next()) cfg.policy = v;
     } else if (std::strcmp(arg, "--rss-ceiling-mb") == 0) {
       if (const char* v = next()) {
         cfg.rss_ceiling_mb = static_cast<std::size_t>(std::atoll(v));
@@ -235,31 +228,25 @@ int main(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--seconds N] [--policy ebr|hp|both]\n"
-                   "          [--rss-ceiling-mb M] [--threads T]\n",
+                   "usage: %s [--seconds N] [--rss-ceiling-mb M] "
+                   "[--threads T]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (cfg.policy != "ebr" && cfg.policy != "hp" && cfg.policy != "both") {
-    std::fprintf(stderr, "--policy must be ebr, hp, or both\n");
-    return 2;
-  }
-  std::printf("soak_reclamation: %.1fs total per policy, policy=%s, "
-              "rss ceiling +%zu MB\n",
-              cfg.seconds, cfg.policy.c_str(), cfg.rss_ceiling_mb);
+  std::printf("soak_reclamation: %.1fs total, rss ceiling +%zu MB\n",
+              cfg.seconds, cfg.rss_ceiling_mb);
 
   // RSS baseline after a warm-up churn burst, so allocator warm-up and
   // thread stacks don't count against the ceiling.
   {
     SoakConfig warm = cfg;
     warm.seconds = 0.2;
-    run_policy(ReclaimPolicy::kEbr, warm);
+    run_all(warm);
   }
   const std::size_t rss_before = rss_bytes();
 
-  if (cfg.policy != "hp") run_policy(ReclaimPolicy::kEbr, cfg);
-  if (cfg.policy != "ebr") run_policy(ReclaimPolicy::kHp, cfg);
+  run_all(cfg);
 
   const std::size_t rss_after = rss_bytes();
   if (rss_before != 0 && rss_after != 0) {

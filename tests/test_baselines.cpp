@@ -8,7 +8,6 @@
 #include <deque>
 #include <map>
 #include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,17 +23,10 @@
 namespace pimds::baselines {
 namespace {
 
-// The lock-free structures run every suite under both reclamation policies
-// (common/reclaim.hpp): EBR exercises the epoch path, HP exercises the
-// protect-with-validate traversals and restart logic.
-std::string policy_name(const ::testing::TestParamInfo<ReclaimPolicy>& info) {
-  return to_string(info.param);
-}
-
 /// After a concurrent run, the structure's reclamation accounting must be
 /// coherent: nothing freed that was never retired, and flush() must leave
 /// no backlog once all mutators have quiesced.
-void expect_reclaim_coherent(Reclaimer& r) {
+void expect_reclaim_coherent(EbrDomain& r) {
   r.flush();
   const ReclaimStats s = r.stats();
   EXPECT_GE(s.retired, s.freed);
@@ -144,53 +136,39 @@ TEST(HohList, SharedRangeAccounting) {
   shared_range_stress(list, 4, 5000);
 }
 
-class LazyListTest : public ::testing::TestWithParam<ReclaimPolicy> {};
-
-TEST_P(LazyListTest, MatchesStdSet) {
-  LazyList list(GetParam());
+TEST(LazyList, MatchesStdSet) {
+  LazyList list;
   check_set_semantics(list, 200, 6000, 2);
 }
 
-TEST_P(LazyListTest, DisjointRangeStress) {
-  LazyList list(GetParam());
+TEST(LazyList, DisjointRangeStress) {
+  LazyList list;
   EXPECT_EQ(disjoint_range_stress(list, 4, 4000), 0);
   expect_reclaim_coherent(list.reclaimer());
 }
 
-TEST_P(LazyListTest, SharedRangeAccounting) {
-  LazyList list(GetParam());
+TEST(LazyList, SharedRangeAccounting) {
+  LazyList list;
   shared_range_stress(list, 4, 5000);
   expect_reclaim_coherent(list.reclaimer());
 }
 
-INSTANTIATE_TEST_SUITE_P(BothPolicies, LazyListTest,
-                         ::testing::Values(ReclaimPolicy::kEbr,
-                                           ReclaimPolicy::kHp),
-                         policy_name);
-
-class LockFreeSkipListTest : public ::testing::TestWithParam<ReclaimPolicy> {};
-
-TEST_P(LockFreeSkipListTest, MatchesStdSet) {
-  LockFreeSkipList list(GetParam());
+TEST(LockFreeSkipList, MatchesStdSet) {
+  LockFreeSkipList list;
   check_set_semantics(list, 500, 8000, 3);
 }
 
-TEST_P(LockFreeSkipListTest, DisjointRangeStress) {
-  LockFreeSkipList list(GetParam());
+TEST(LockFreeSkipList, DisjointRangeStress) {
+  LockFreeSkipList list;
   EXPECT_EQ(disjoint_range_stress(list, 4, 6000), 0);
   expect_reclaim_coherent(list.reclaimer());
 }
 
-TEST_P(LockFreeSkipListTest, SharedRangeAccounting) {
-  LockFreeSkipList list(GetParam());
+TEST(LockFreeSkipList, SharedRangeAccounting) {
+  LockFreeSkipList list;
   shared_range_stress(list, 4, 8000);
   expect_reclaim_coherent(list.reclaimer());
 }
-
-INSTANTIATE_TEST_SUITE_P(BothPolicies, LockFreeSkipListTest,
-                         ::testing::Values(ReclaimPolicy::kEbr,
-                                           ReclaimPolicy::kHp),
-                         policy_name);
 
 TEST(FcLinkedList, MatchesStdSetBothModes) {
   FcLinkedList combining(true);
@@ -279,33 +257,24 @@ void check_mpmc(Queue& q, int producers, int consumers,
   EXPECT_FALSE(q.dequeue().has_value());
 }
 
-class MsQueueTest : public ::testing::TestWithParam<ReclaimPolicy> {};
-
-TEST_P(MsQueueTest, FifoSingleThreaded) {
-  MsQueue q(GetParam());
+TEST(MsQueue, FifoSingleThreaded) {
+  MsQueue q;
   check_fifo_single_threaded(q);
 }
 
-TEST_P(MsQueueTest, MpmcStress) {
-  MsQueue q(GetParam());
+TEST(MsQueue, MpmcStress) {
+  MsQueue q;
   check_mpmc(q, 2, 2, 20000);
   expect_reclaim_coherent(q.reclaimer());
 }
 
-INSTANTIATE_TEST_SUITE_P(BothPolicies, MsQueueTest,
-                         ::testing::Values(ReclaimPolicy::kEbr,
-                                           ReclaimPolicy::kHp),
-                         policy_name);
-
-class FaaQueueTest : public ::testing::TestWithParam<ReclaimPolicy> {};
-
-TEST_P(FaaQueueTest, FifoSingleThreaded) {
-  FaaQueue q(GetParam());
+TEST(FaaQueue, FifoSingleThreaded) {
+  FaaQueue q;
   check_fifo_single_threaded(q);
 }
 
-TEST_P(FaaQueueTest, CrossesSegmentBoundaries) {
-  FaaQueue q(GetParam());
+TEST(FaaQueue, CrossesSegmentBoundaries) {
+  FaaQueue q;
   for (std::uint64_t i = 0; i < 3 * FaaQueue::kSegmentCells + 10; ++i) {
     q.enqueue(i);
   }
@@ -318,16 +287,11 @@ TEST_P(FaaQueueTest, CrossesSegmentBoundaries) {
   EXPECT_GE(q.reclaimer().stats().retired, 3u);
 }
 
-TEST_P(FaaQueueTest, MpmcStress) {
-  FaaQueue q(GetParam());
+TEST(FaaQueue, MpmcStress) {
+  FaaQueue q;
   check_mpmc(q, 2, 2, 20000);
   expect_reclaim_coherent(q.reclaimer());
 }
-
-INSTANTIATE_TEST_SUITE_P(BothPolicies, FaaQueueTest,
-                         ::testing::Values(ReclaimPolicy::kEbr,
-                                           ReclaimPolicy::kHp),
-                         policy_name);
 
 TEST(FcQueue, FifoSingleThreaded) {
   FcQueue q;

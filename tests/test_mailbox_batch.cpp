@@ -310,6 +310,22 @@ TEST(FatPayload, ClosedLoopWorkloadBalancesTheArena) {
       << "a spilled fat payload was never released";
 }
 
+// PIM core threads live only as long as their PimSystem, and a process
+// may build many systems one after another: a block released by a thread
+// that exits right after must still come back to the pool.
+TEST(FatArena, RecyclesBlocksReleasedByShortLivedThreads) {
+  FatArena& arena = FatArena::instance();
+  const std::uint64_t allocs_before = arena.heap_allocs();
+  const std::uint64_t outstanding_before = arena.outstanding();
+  for (int i = 0; i < 300; ++i) {
+    std::thread t([&arena] { arena.release(arena.acquire()); });
+    t.join();
+  }
+  EXPECT_LE(arena.heap_allocs() - allocs_before, 1u)
+      << "released blocks missed the pool";
+  EXPECT_EQ(arena.outstanding(), outstanding_before);
+}
+
 TEST(VaultBalance, AllocFreeNetEqualsLiveSegmentsAfterFullDrain) {
   // Shutdown-time balance assertion: once every enqueued value has been
   // dequeued, the vaults' net alloc−free balance must be exactly the

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <thread>
 #include <vector>
@@ -101,9 +102,13 @@ TEST(MpmcQueue, PerProducerOrderIsPreserved) {
 
 struct CountedNode {
   static std::atomic<int> live;
-  int payload = 0;
+  static constexpr std::uint64_t kCanary = 0xfeedfacecafebeefULL;
+  std::uint64_t canary = kCanary;
   CountedNode() { live.fetch_add(1); }
-  ~CountedNode() { live.fetch_sub(1); }
+  ~CountedNode() {
+    canary = 0;
+    live.fetch_sub(1);
+  }
 };
 std::atomic<int> CountedNode::live{0};
 
@@ -113,7 +118,7 @@ TEST(Ebr, RetiredNodesAreEventuallyFreed) {
     EbrDomain domain;
     for (int i = 0; i < 1000; ++i) {
       EbrDomain::Guard guard(domain);
-      domain.retire(new CountedNode());
+      guard.retire(new CountedNode());
     }
     // Batching frees most nodes along the way; the destructor frees the rest.
   }
@@ -134,7 +139,7 @@ TEST(Ebr, NodesSurviveWhileAnotherThreadIsPinned) {
   {
     // Retire far more than one batch; the pinned reader must hold them all.
     EbrDomain::Guard guard(domain);
-    for (int i = 0; i < 300; ++i) domain.retire(new CountedNode());
+    for (int i = 0; i < 300; ++i) guard.retire(new CountedNode());
   }
   EXPECT_EQ(CountedNode::live.load(), 300)
       << "nodes were freed while a guard from an old epoch was active";
@@ -163,7 +168,7 @@ TEST(Ebr, EpochStallIsCountedAndBacklogDrainsWhenStallClears) {
   constexpr int kRetired = 4 * static_cast<int>(EbrDomain::kRetireBatch);
   {
     EbrDomain::Guard guard(domain);
-    for (int i = 0; i < kRetired; ++i) domain.retire(new CountedNode());
+    for (int i = 0; i < kRetired; ++i) guard.retire(new CountedNode());
   }
   // Every full batch attempted an epoch advance and found the parked
   // reader pinned to the entry epoch.
@@ -224,12 +229,62 @@ TEST(Ebr, ManyThreadsRetireConcurrently) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
         EbrDomain::Guard guard(domain);
-        domain.retire(new CountedNode());
+        guard.retire(new CountedNode());
       }
     });
   }
   for (auto& t : threads) t.join();
   domain.reclaim_all_unsafe();
+  EXPECT_EQ(CountedNode::live.load(), 0);
+}
+
+// The central race: writers continuously swap a shared pointer and retire
+// the displaced node while readers load and dereference it inside a guard.
+// A premature free shows up as a canary mismatch natively and as a report
+// under TSan/ASan; this is the sanitizer target for the guard-entry fence
+// pairing with the epoch scan.
+TEST(Ebr, LoadVsRetireKeepsNodesAlive) {
+  CountedNode::live = 0;
+  {
+    EbrDomain domain;
+    std::atomic<CountedNode*> shared{new CountedNode()};
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> bad_reads{0};
+    constexpr int kReaders = 2;
+    constexpr int kWriters = 2;
+    constexpr int kSwapsPerWriter = 20000;
+    std::vector<std::thread> threads;
+    for (int r = 0; r < kReaders; ++r) {
+      threads.emplace_back([&] {
+        while (!stop.load(std::memory_order_acquire)) {
+          EbrDomain::Guard guard(domain);
+          CountedNode* p = shared.load(std::memory_order_acquire);
+          if (p->canary != CountedNode::kCanary) {
+            bad_reads.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (int w = 0; w < kWriters; ++w) {
+      threads.emplace_back([&] {
+        for (int i = 0; i < kSwapsPerWriter; ++i) {
+          auto* fresh = new CountedNode();
+          EbrDomain::Guard guard(domain);
+          CountedNode* old = shared.exchange(fresh);
+          guard.retire(old);
+        }
+      });
+    }
+    for (std::size_t i = kReaders; i < threads.size(); ++i) threads[i].join();
+    stop.store(true, std::memory_order_release);
+    for (int r = 0; r < kReaders; ++r) threads[r].join();
+    EXPECT_EQ(bad_reads.load(), 0u)
+        << "a reader dereferenced a freed node's memory";
+    delete shared.load();
+    domain.reclaim_all_unsafe();
+    const ReclaimStats s = domain.stats();
+    EXPECT_EQ(s.retired, s.freed);
+  }
   EXPECT_EQ(CountedNode::live.load(), 0);
 }
 
