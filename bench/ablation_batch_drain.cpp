@@ -41,7 +41,6 @@ struct RunConfig {
 
 double pim_ns_scale = 10000.0;  // Lpim = 10 us, Lmessage = 30 us
 std::uint64_t gather_ns = 0;    // 0 = the runtime's auto window (Lpim)
-std::uint64_t linger_ns = 0;    // 0 = the combiner's auto linger
 
 double run_queue(const RunConfig& rc, std::size_t threads, std::size_t ops_per_thread) {
   runtime::PimSystem::Config config;
@@ -59,7 +58,6 @@ double run_queue(const RunConfig& rc, std::size_t threads, std::size_t ops_per_t
   core::PimFifoQueue::Options qopts;
   qopts.enqueue_combining = rc.enqueue_combining;
   qopts.cpu_combining = rc.cpu_combining;
-  qopts.combine_linger_ns = linger_ns;
   core::PimFifoQueue queue(system, qopts);
   system.start();
 
@@ -100,7 +98,6 @@ int main(int argc, char** argv) {
     if (a == "--ops") ops = std::strtoul(argv[i + 1], nullptr, 10);
     if (a == "--pim-ns") pim_ns_scale = std::strtod(argv[i + 1], nullptr);
     if (a == "--gather-ns") gather_ns = std::strtoul(argv[i + 1], nullptr, 10);
-    if (a == "--linger-ns") linger_ns = std::strtoul(argv[i + 1], nullptr, 10);
   }
 
   JsonReporter json(argc, argv, "batch_drain");

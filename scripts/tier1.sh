@@ -86,23 +86,26 @@ stage_telemetry() {
 run_stage "telemetry smoke" stage_telemetry
 
 stage_sim_rows() {
-  echo "== tier-1: sim skip-list rows (virtual-time baselines reproduce) =="
-  # Table 2, its Zipf-skewed twin, Figure 4 and the simulated rebalancing
-  # ablation run in virtual time, so their committed BENCH_*.json must
-  # reproduce. bench_all.py regenerates them under its own file names;
-  # perf_gate holds them at the committed tolerances and notes_min bars.
+  echo "== tier-1: sim rows (virtual-time baselines reproduce) =="
+  # Table 1, the Section 5.2 queues, Table 2, its Zipf-skewed twin,
+  # Figure 4 and the simulated rebalancing ablation run in virtual time, so
+  # their committed BENCH_*.json must reproduce. bench_all.py regenerates
+  # them under its own file names; perf_gate holds them at the committed
+  # tolerances and notes_min bars.
   rows_dir="$(mktemp -d)"
-  python3 scripts/bench_all.py --build-dir build --out-dir "$rows_dir" \
-    --filter skiplists > /dev/null
-  python3 scripts/bench_all.py --build-dir build --out-dir "$rows_dir" \
-    --filter ablation_rebalance_sim > /dev/null
+  for filter in table1_linked_lists sec52_fifo_queues skiplists \
+      ablation_rebalance_sim; do
+    python3 scripts/bench_all.py --build-dir build --out-dir "$rows_dir" \
+      --filter "$filter" > /dev/null
+  done
   python3 scripts/perf_gate.py --baseline-dir . --fresh-dir "$rows_dir" \
+    --only table1_linked_lists --only sec52_fifo_queues \
     --only table2_skiplists --only table2_skiplists_skew \
     --only fig4_skiplists --only ablation_rebalance_sim
   rm -rf "$rows_dir"
   echo "sim-rows: OK"
 }
-run_stage "sim skip-list rows" stage_sim_rows
+run_stage "sim rows" stage_sim_rows
 
 stage_active_rebalance() {
   echo "== tier-1: active-rebalance smoke (closed loop must settle) =="

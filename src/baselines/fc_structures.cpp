@@ -6,42 +6,52 @@
 namespace pimds::baselines {
 
 namespace {
-using Records = std::vector<FlatCombiner<SetRequest, bool>::Record*>;
+using runtime::FatEntry;
+using Batch = std::span<const FatEntry>;
 
 /// Hop-cost hook of the FC structures: one CPU DRAM access per node.
 void charge_cpu_hops(std::uint64_t n) {
   for (; n > 0; --n) charge_cpu_access();
 }
+
+FatEntry set_entry(SetOp op, std::uint64_t key) {
+  FatEntry e{};
+  e.kind = static_cast<std::uint32_t>(op);
+  e.key = key;
+  return e;
+}
+
+SetOp op_of(const FatEntry& e) { return static_cast<SetOp>(e.kind); }
 }  // namespace
 
-bool FcLinkedList::execute(SetRequest req) {
-  return fc_.execute(req, [this](Records& batch) {
+bool FcLinkedList::execute(SetOp op, std::uint64_t key) {
+  return combine_in_place<bool>(fc_, set_entry(op, key), [this](Batch batch) {
     if (combining_) {
       // One ascending traversal serves the whole batch (Section 4.1).
-      std::vector<SetRequest> requests;
-      requests.reserve(batch.size());
-      for (const auto* rec : batch) requests.push_back(rec->req);
-      std::vector<bool> results(batch.size());
-      list_.execute_batch(requests, results, charge_cpu_hops);
+      SetRequest requests[runtime::RequestCombiner::kMaxCombine];
+      bool results[runtime::RequestCombiner::kMaxCombine];
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        batch[i]->res = results[i];
+        requests[i] = SetRequest{op_of(batch[i]), batch[i].key};
+      }
+      list_.execute_batch(std::span<const SetRequest>(requests, batch.size()),
+                          results, charge_cpu_hops);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        result_of<bool>(batch[i]) = results[i];
       }
       return;
     }
-    for (auto* rec : batch) {
-      rec->res = list_.execute(rec->req.op, rec->req.key, charge_cpu_hops);
+    for (const FatEntry& e : batch) {
+      result_of<bool>(e) = list_.execute(op_of(e), e.key, charge_cpu_hops);
     }
   });
 }
 
-bool FcLinkedList::add(std::uint64_t key) {
-  return execute({SetOp::kAdd, key});
-}
+bool FcLinkedList::add(std::uint64_t key) { return execute(SetOp::kAdd, key); }
 bool FcLinkedList::remove(std::uint64_t key) {
-  return execute({SetOp::kRemove, key});
+  return execute(SetOp::kRemove, key);
 }
 bool FcLinkedList::contains(std::uint64_t key) {
-  return execute({SetOp::kContains, key});
+  return execute(SetOp::kContains, key);
 }
 
 FcSkipList::FcSkipList(std::uint64_t key_range, std::size_t partitions)
@@ -60,27 +70,26 @@ std::size_t FcSkipList::route(std::uint64_t key) const {
   return idx >= parts_.size() ? parts_.size() - 1 : idx;
 }
 
-bool FcSkipList::execute(SetRequest req) {
-  assert(req.key >= 1 && req.key <= key_range_);
-  Partition& part = *parts_[route(req.key)];
-  return part.fc.execute(req, [&part](Records& batch) {
+bool FcSkipList::execute(SetOp op, std::uint64_t key) {
+  assert(key >= 1 && key <= key_range_);
+  Partition& part = *parts_[route(key)];
+  const auto serve = [&part](Batch batch) {
     // No combining for skip-lists: distant keys share no traversal prefix
     // (Section 4.2), so the combiner executes requests one by one.
-    for (auto* rec : batch) {
-      rec->res = part.list.execute(rec->req.op, rec->req.key, part.rng,
-                                   charge_cpu_hops);
+    for (const FatEntry& e : batch) {
+      result_of<bool>(e) =
+          part.list.execute(op_of(e), e.key, part.rng, charge_cpu_hops);
     }
-  });
+  };
+  return combine_in_place<bool>(part.fc, set_entry(op, key), serve);
 }
 
-bool FcSkipList::add(std::uint64_t key) {
-  return execute({SetOp::kAdd, key});
-}
+bool FcSkipList::add(std::uint64_t key) { return execute(SetOp::kAdd, key); }
 bool FcSkipList::remove(std::uint64_t key) {
-  return execute({SetOp::kRemove, key});
+  return execute(SetOp::kRemove, key);
 }
 bool FcSkipList::contains(std::uint64_t key) {
-  return execute({SetOp::kContains, key});
+  return execute(SetOp::kContains, key);
 }
 
 std::size_t FcSkipList::size() const noexcept {
@@ -90,25 +99,25 @@ std::size_t FcSkipList::size() const noexcept {
 }
 
 void FcQueue::enqueue(std::uint64_t value) {
-  enq_fc_.execute(value, [this](auto& batch) {
+  FatEntry e{};
+  e.value = value;
+  combine_in_place<bool>(enq_fc_, e, [this](Batch batch) {
     const std::scoped_lock ends(ends_lock_);
-    for (auto* rec : batch) {
+    for (const FatEntry& rec : batch) {
       charge_cpu_access();  // queue-node write
-      items_.push_back(rec->req);
-      rec->res = true;
+      items_.push_back(rec.value);
     }
   });
 }
 
 std::optional<std::uint64_t> FcQueue::dequeue() {
-  return deq_fc_.execute(0, [this](auto& batch) {
+  using Res = std::optional<std::uint64_t>;
+  return combine_in_place<Res>(deq_fc_, FatEntry{}, [this](Batch batch) {
     const std::scoped_lock ends(ends_lock_);
-    for (auto* rec : batch) {
+    for (const FatEntry& rec : batch) {
       charge_cpu_access();  // queue-node read
-      if (items_.empty()) {
-        rec->res = std::nullopt;
-      } else {
-        rec->res = items_.front();
+      if (!items_.empty()) {
+        result_of<Res>(rec) = items_.front();
         items_.pop_front();
       }
     }

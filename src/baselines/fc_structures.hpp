@@ -4,6 +4,13 @@
 // (Section 4.2 / Figure 4), and the FC FIFO queue with separate enqueue and
 // dequeue combiner locks (Section 5.2).
 //
+// Flat combining (Hendler, Incze, Shavit, Tzafrir [25]) and the runtime's
+// Section 4.1 request combining are one protocol: publish, win the combiner
+// role, gather, then serve or ship the batch, then release the waiters. So
+// the FC structures submit through runtime::RequestCombiner, and their
+// leader serves the gathered batch in place (combine_in_place) where the
+// PIM structures' leader ships it to a vault.
+//
 // The lists run the shared sequential cores (core/sorted_list.hpp,
 // core/skip_list.hpp). The combiner is an ordinary CPU thread, so each node
 // access charges one CPU DRAM access when latency injection is enabled.
@@ -13,17 +20,54 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
-#include "baselines/flat_combining.hpp"
+#include "baselines/spinlock.hpp"
+#include "common/latency.hpp"
 #include "common/rng.hpp"
 #include "core/skip_list.hpp"
 #include "core/sorted_list.hpp"
+#include "runtime/combiner.hpp"
+#include "runtime/fat_arena.hpp"
 
 namespace pimds::baselines {
 
 using core::SetOp;
 using core::SetRequest;
+
+/// The result a combined request's `slot` points at: the requester's own
+/// result on its stack.
+template <typename Res>
+Res& result_of(const runtime::FatEntry& entry) noexcept {
+  return *static_cast<Res*>(entry.slot);
+}
+
+/// Run `entry` through `combiner` and return its result. The leader's send
+/// callback serves the gathered batch in place: `serve` gets the batch's
+/// entries and writes each requester's result through `result_of<Res>`.
+/// RequestCombiner releases a requester only after the callback returns
+/// (a release store), so each requester reads a finished result.
+///
+/// Section 5.2's LLC charges: one access to compete for the combiner role,
+/// two per served entry (the combiner reads the request and writes the
+/// result).
+template <typename Res, typename ServeFn>
+Res combine_in_place(runtime::RequestCombiner& combiner,
+                     runtime::FatEntry entry, ServeFn&& serve) {
+  Res result{};
+  entry.slot = &result;
+  charge_llc_access();  // competing for the combiner role
+  combiner.submit(entry, [&serve](runtime::Message& m) {
+    const std::span<const runtime::FatEntry> batch(runtime::fat_entries(m),
+                                                   m.fat_count);
+    for (std::size_t i = 0; i < batch.size(); ++i) charge_llc_access();
+    serve(batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) charge_llc_access();
+    runtime::release_fat_payload(m);
+  });
+  return result;
+}
 
 /// Flat-combining sorted linked-list.
 class FcLinkedList {
@@ -37,14 +81,14 @@ class FcLinkedList {
   bool contains(std::uint64_t key);
 
   std::size_t size() const noexcept { return list_.size(); }
-  std::size_t max_combined() const noexcept { return fc_.max_combined(); }
+  std::uint64_t max_combined() const noexcept { return fc_.max_batch(); }
 
  private:
-  bool execute(SetRequest req);
+  bool execute(SetOp op, std::uint64_t key);
 
   bool combining_;
   core::SortedList<> list_;
-  FlatCombiner<SetRequest, bool> fc_;
+  runtime::RequestCombiner fc_;
 };
 
 /// Flat-combining skip-list, statically partitioned into k key ranges with
@@ -69,10 +113,10 @@ class FcSkipList {
 
     core::SkipList list;
     Xoshiro256 rng;  ///< tower heights
-    FlatCombiner<SetRequest, bool> fc;
+    runtime::RequestCombiner fc;
   };
 
-  bool execute(SetRequest req);
+  bool execute(SetOp op, std::uint64_t key);
   std::size_t route(std::uint64_t key) const;
 
   std::uint64_t key_range_;
@@ -96,8 +140,8 @@ class FcQueue {
   // overlap — the paper's simplified FC queue assumes a long queue where
   // the two ends never meet.
   Spinlock ends_lock_;
-  FlatCombiner<std::uint64_t, bool> enq_fc_;
-  FlatCombiner<int, std::optional<std::uint64_t>> deq_fc_;
+  runtime::RequestCombiner enq_fc_;
+  runtime::RequestCombiner deq_fc_;
 };
 
 }  // namespace pimds::baselines

@@ -73,8 +73,6 @@ PimFifoQueue::PimFifoQueue(runtime::PimSystem& system)
 
 PimFifoQueue::PimFifoQueue(runtime::PimSystem& system, Options options)
     : system_(system), options_(options) {
-  enq_combiner_.set_linger_ns(options_.combine_linger_ns);
-  deq_combiner_.set_linger_ns(options_.combine_linger_ns);
   const Vault::Config config{system_.num_vaults(), options_.segment_threshold,
                              options_.antipodal_placement,
                              options_.enqueue_combining,
@@ -142,6 +140,10 @@ QueueReply PimFifoQueue::request(bool is_enq, std::uint64_t value) {
   const std::uint32_t kind = is_enq ? kEnq : kDeq;
   QueueReply r;
   for (;;) {
+    // One attempt's CPU side: on the combined path the combiner_wait phase
+    // (publication to "shipped in some batch"), which subsumes issue; on
+    // the direct send the issue phase.
+    const std::uint64_t attempt_start = obs_on ? now_ns() : 0;
     if (options_.cpu_combining) {
       RequestCombiner::Entry e{};
       e.kind = kind;
@@ -155,7 +157,6 @@ QueueReply PimFifoQueue::request(bool is_enq, std::uint64_t value) {
         system_.send(role.load(std::memory_order_acquire), m);
       });
     } else {
-      const std::uint64_t attempt_start = obs_on ? now_ns() : 0;
       Message m;
       m.kind = kind;
       m.value = value;
@@ -164,10 +165,12 @@ QueueReply PimFifoQueue::request(bool is_enq, std::uint64_t value) {
       m.req_id = rid;
 #endif
       system_.send(role.load(std::memory_order_acquire), m);
-      if (obs_on) {
-        obs::record_runtime_phase(obs::Phase::kIssue,
-                                  now_ns() - attempt_start);
-      }
+    }
+    if (obs_on) {
+      obs::record_runtime_phase(options_.cpu_combining
+                                    ? obs::Phase::kCombinerWait
+                                    : obs::Phase::kIssue,
+                                now_ns() - attempt_start);
     }
     r = slot.await();
     if (r.accepted) break;

@@ -54,12 +54,6 @@ class PimFifoQueue {
     /// CPU-side request combining: co-located waiting requests ride one
     /// crossbar message (off = one message per request, the seed path).
     bool cpu_combining = true;
-    /// Combiner flush linger (see RequestCombiner::set_linger_ns): how long
-    /// a flushing leader yields for stragglers before shipping a non-full
-    /// batch. Default off: on an oversubscribed host one yield costs a full
-    /// scheduler round trip, so the leader overshoots any microsecond-scale
-    /// window without gathering anything. Enable only with cores to spare.
-    std::uint64_t combine_linger_ns = 0;
   };
 
   /// Installs handlers on ALL vaults of `system`; construct before start().

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <span>
 
+#include "obs/phase.hpp"
 #include "runtime/fat_arena.hpp"
 #include "runtime/mailbox.hpp"
 
@@ -37,10 +38,15 @@ bool PimLinkedList::submit(Kind kind, std::uint64_t key) {
   entry.kind = kind;
   entry.key = key;
   entry.slot = &slot;
+  // The combiner_wait phase: publication to "shipped in some batch".
+  const std::uint64_t t0 = obs::metrics_enabled() ? now_ns() : 0;
   combiner_.submit(entry, [this](Message& m) {
     m.kind = kOpBatch;
     system_.send(options_.vault, m);
   });
+  if (t0 != 0) {
+    obs::record_runtime_phase(obs::Phase::kCombinerWait, now_ns() - t0);
+  }
   return slot.await();
 }
 

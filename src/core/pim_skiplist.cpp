@@ -110,10 +110,15 @@ bool PimSkipList::submit(SetOp op, std::uint64_t key) {
       entry.key = key;
       entry.value = static_cast<std::uint64_t>(op);
       entry.slot = &slot;
+      // The combiner_wait phase: publication to "shipped in some batch".
+      const std::uint64_t t0 = obs::metrics_enabled() ? now_ns() : 0;
       combiners_[vault]->submit(entry, [this, vault](Message& m) {
         m.kind = kOpBatch;
         system_.send(vault, m);
       });
+      if (t0 != 0) {
+        obs::record_runtime_phase(obs::Phase::kCombinerWait, now_ns() - t0);
+      }
     } else {
       Message m;
       m.kind = kOp;

@@ -47,7 +47,6 @@
 // CPU baselines.
 #include "baselines/faa_queue.hpp"
 #include "baselines/fc_structures.hpp"
-#include "baselines/flat_combining.hpp"
 #include "baselines/hoh_list.hpp"
 #include "baselines/lazy_list.hpp"
 #include "baselines/lockfree_skiplist.hpp"

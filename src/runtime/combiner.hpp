@@ -1,6 +1,9 @@
-// CPU-side request combining (the Section 4.1 combining optimization,
-// mirrored on the native runtime's request path; the simulator twin is
-// sim/flat_combining.hpp).
+// CPU-side request combining: the one real-thread combining harness. It
+// runs the Section 4.1 combining optimization on the runtime's request path
+// and is the flat combiner (Hendler et al. [25]) of the FC baselines, whose
+// leader serves the batch in place instead of shipping it
+// (baselines::combine_in_place). The simulator keeps its own virtual-time
+// harness, sim/flat_combining.hpp (DESIGN §5j).
 //
 // Co-located CPU threads targeting the same PIM core publish their requests
 // into a shared queue; whoever wins the (try-lock) combiner role gathers up
@@ -24,12 +27,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 
 #include "common/cacheline.hpp"
 #include "common/mpmc_queue.hpp"
 #include "common/spinwait.hpp"
-#include "common/timing.hpp"
-#include "obs/phase.hpp"
 #include "runtime/fat_arena.hpp"
 #include "runtime/message.hpp"
 
@@ -48,18 +50,6 @@ class RequestCombiner {
   explicit RequestCombiner(std::size_t queue_capacity = 1024)
       : queue_(queue_capacity) {}
 
-  /// Flush linger: a leader whose first pop sweep came up short of
-  /// kMaxCombine yields for up to this window picking up stragglers before
-  /// shipping. Under latency injection, co-located requesters released by
-  /// one fat response wake microseconds to tens of microseconds apart —
-  /// a bounded linger re-clusters that scheduler dispersion into one fat
-  /// message, and the vault then charges one local access for the lot.
-  /// The leader yields (not spins) through the window, so the linger costs
-  /// scheduler handoffs, not CPU. 0 (default) ships immediately. Caveat:
-  /// when runnable threads outnumber cores, one yield alone can overshoot
-  /// the whole window, so the linger only helps with cores to spare.
-  void set_linger_ns(std::uint64_t ns) noexcept { linger_ns_ = ns; }
-
   RequestCombiner(const RequestCombiner&) = delete;
   RequestCombiner& operator=(const RequestCombiner&) = delete;
 
@@ -70,11 +60,6 @@ class RequestCombiner {
   /// receiver releases any spill via release_fat_payload).
   template <typename SendFn>
   void submit(const Entry& entry, SendFn&& send) {
-    // The combiner_wait phase: publication to "shipped in some batch". On
-    // the combined path this subsumes the issue phase (the structure's op
-    // wrapper records issue only on the direct-send path, so the two never
-    // double-count).
-    const std::uint64_t t0 = obs::metrics_enabled() ? now_ns() : 0;
     Record rec{};
     rec.entry = entry;
     queue_.push(&rec);
@@ -87,9 +72,6 @@ class RequestCombiner {
       } else {
         spin.wait();
       }
-    }
-    if (t0 != 0) {
-      obs::record_runtime_phase(obs::Phase::kCombinerWait, now_ns() - t0);
     }
   }
 
@@ -125,16 +107,6 @@ class RequestCombiner {
       picked[n++] = *r;
     }
     if (n == 0) return;
-    if (n < kMaxCombine && linger_ns_ != 0) {
-      const std::uint64_t deadline = now_ns() + linger_ns_;
-      while (n < kMaxCombine && now_ns() < deadline) {
-        if (std::optional<Record*> r = queue_.try_pop()) {
-          picked[n++] = *r;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    }
     Message m;
     m.fat_count = static_cast<std::uint16_t>(n);
     FatEntry* entries = m.fat.inline_;
@@ -159,7 +131,6 @@ class RequestCombiner {
   }
 
   MpmcQueue<Record*> queue_;
-  std::uint64_t linger_ns_ = 0;
   CachePadded<std::atomic<bool>> lock_{false};
   CachePadded<std::atomic<std::uint64_t>> batches_{0};
   CachePadded<std::atomic<std::uint64_t>> combined_{0};

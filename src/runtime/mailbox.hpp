@@ -140,21 +140,6 @@ class Mailbox {
     return n;
   }
 
-  /// Non-blocking single-message receive: the next deliverable message, or
-  /// nullopt if none is ready yet.
-  std::optional<Message> poll_ready() {
-    auto& injector = LatencyInjector::instance();
-    if (!injector.enabled()) {
-      if (!pending_.empty()) return pop_pending();
-      return pop_one();
-    }
-    park_all(static_cast<std::uint64_t>(injector.params().message()));
-    if (!pending_.empty() && pending_.front().ready_ns <= now_ns()) {
-      return pop_pending();
-    }
-    return std::nullopt;
-  }
-
   /// Legacy per-message receive: pop the next message and busy-wait until
   /// its delivery time. Kept for the seed-path ablation (the head-of-line
   /// stall this models is exactly what drain() removes).

@@ -69,13 +69,6 @@ PimSystem::PimSystem(Config config) : config_(config) {
 
 PimSystem::~PimSystem() { stop(); }
 
-void PimSystem::set_handler(std::size_t vault, Handler handler) {
-  if (started_) {
-    throw std::logic_error("set_handler must precede start()");
-  }
-  cores_[vault]->handler = std::move(handler);
-}
-
 void PimSystem::set_batch_handler(std::size_t vault, BatchHandler handler) {
   if (started_) {
     throw std::logic_error("set_batch_handler must precede start()");
@@ -194,11 +187,7 @@ void PimSystem::dispatch(PimCoreApi& api, Core& core, const Message* msgs,
 #endif
     }
   }
-  if (core.batch_handler) {
-    core.batch_handler(api, msgs, n);
-  } else if (core.handler) {
-    for (std::size_t i = 0; i < n; ++i) core.handler(api, msgs[i]);
-  }
+  if (core.batch_handler) core.batch_handler(api, msgs, n);
   if (obs_on) {
     const std::uint64_t t_done = now_ns();
     // Every operation of the batch spends the WHOLE handler window on the

@@ -105,11 +105,9 @@ class PimSystem {
     bool pin_cores = false;
   };
 
-  /// A handler runs on the vault's PIM-core thread for every message.
-  using Handler = std::function<void(PimCoreApi&, const Message&)>;
-  /// A batch handler receives every message of one drain pass at once
-  /// (preferred over Handler when installed): the structure can serve the
-  /// whole batch in one traversal and pipeline all the replies.
+  /// A batch handler runs on the vault's PIM-core thread and receives every
+  /// message of one drain pass at once: the structure can serve the whole
+  /// batch in one traversal and pipeline all the replies.
   using BatchHandler =
       std::function<void(PimCoreApi&, const Message*, std::size_t)>;
   /// An idle handler runs when the mailbox is empty; return true if it did
@@ -129,7 +127,6 @@ class PimSystem {
   /// Install the message handler for one vault. Must be called before
   /// start(); typically each PIM data structure installs handlers for the
   /// vaults it owns.
-  void set_handler(std::size_t vault, Handler handler);
   void set_batch_handler(std::size_t vault, BatchHandler handler);
   void set_idle_handler(std::size_t vault, IdleHandler handler);
 
@@ -160,7 +157,6 @@ class PimSystem {
 
     std::unique_ptr<Vault> vault;
     Mailbox mailbox;
-    Handler handler;
     BatchHandler batch_handler;
     IdleHandler idle_handler;
     std::thread thread;

@@ -9,78 +9,6 @@
 namespace pimds::sim {
 
 RunResult run_fc_queue(const QueueConfig& cfg, bool single_lock) {
-  if (single_lock) {
-    // Original flat combining: ONE lock serializes both operation types.
-    Engine engine(cfg.params, cfg.seed);
-    engine.set_perturbation(cfg.perturb);
-    std::deque<std::uint64_t> items;
-    for (std::size_t i = 0; i < cfg.initial_nodes; ++i) items.push_back(i);
-    struct Req {
-      bool is_enq;
-      std::uint64_t value;
-    };
-    using Combiner = SimFlatCombiner<Req, std::optional<std::uint64_t>>;
-    Combiner fc({/*charge_lock_llc=*/true, /*charge_slot_llc=*/true});
-    const auto serve = [&](Context& cctx,
-                           std::vector<Combiner::Pending>& batch) {
-      for (auto& p : batch) {
-        if (cfg.charge_node_access) cctx.charge(MemClass::kCpuDram);
-        if (p.request.is_enq) {
-          items.push_back(p.request.value);
-          p.slot->set(cctx, std::nullopt);
-        } else if (items.empty()) {
-          p.slot->set(cctx, std::nullopt);
-        } else {
-          p.slot->set(cctx, items.front());
-          items.pop_front();
-        }
-      }
-    };
-    std::uint64_t total_ops = 0;
-    const auto spawn = [&](std::string name, bool is_enq, std::size_t slot) {
-      engine.spawn(std::move(name), [&, is_enq, slot](Context& ctx) {
-        check::ThreadLog* log =
-            cfg.recorder != nullptr ? &cfg.recorder->log(slot) : nullptr;
-        ArrivalPacer pacer(cfg, ctx);
-        std::uint64_t ops = 0;
-        while (ctx.now() < cfg.duration_ns) {
-          const Time intended = pacer.next(ctx);
-          if (intended >= cfg.duration_ns) break;
-          const Time issued = ctx.now();
-          const std::uint64_t value =
-              !is_enq ? 0
-              : log != nullptr
-                  ? ((static_cast<std::uint64_t>(slot) + 1) << 48) | ops
-                  : ctx.rng().next();
-          if (log != nullptr) {
-            log->begin(is_enq ? check::kEnq : check::kDeq, value, issued);
-          }
-          const std::optional<std::uint64_t> out =
-              fc.submit(ctx, Req{is_enq, value}, serve);
-          if (log != nullptr) {
-            log->end(is_enq ? check::kRetTrue
-                            : out.value_or(check::kRetEmpty),
-                     ctx.now());
-          }
-          if (cfg.latency_sink_ns != nullptr) {
-            cfg.latency_sink_ns->push_back(
-                static_cast<double>(ctx.now() - intended));
-          }
-          ++ops;
-        }
-        total_ops += ops;
-      });
-    };
-    for (std::size_t i = 0; i < cfg.enqueuers; ++i) {
-      spawn("enq" + std::to_string(i), true, i);
-    }
-    for (std::size_t i = 0; i < cfg.dequeuers; ++i) {
-      spawn("deq" + std::to_string(i), false, cfg.enqueuers + i);
-    }
-    engine.run();
-    return {total_ops, cfg.duration_ns};
-  }
-
   Engine engine(cfg.params, cfg.seed);
   engine.set_perturbation(cfg.perturb);
 
@@ -88,19 +16,39 @@ RunResult run_fc_queue(const QueueConfig& cfg, bool single_lock) {
   for (std::size_t i = 0; i < cfg.initial_nodes; ++i) items.push_back(i);
 
   // Section 5.2 cost accounting: one LLC access to compete for the combiner
-  // lock, two LLC accesses per served publication slot.
-  using EnqCombiner = SimFlatCombiner<std::uint64_t, bool>;
-  using DeqCombiner = SimFlatCombiner<int, std::optional<std::uint64_t>>;
-  const EnqCombiner::CostConfig costs{/*charge_lock_llc=*/true,
-                                      /*charge_slot_llc=*/true};
-  EnqCombiner enq_fc(costs);
-  DeqCombiner deq_fc({costs.charge_lock_llc, costs.charge_slot_llc});
+  // lock, two LLC accesses per served publication slot. The two-lock queue
+  // has one combiner per role; the original single_lock flat combining
+  // sends both roles to the enqueue combiner.
+  struct Req {
+    bool is_enq;
+    std::uint64_t value;
+  };
+  using Combiner = SimFlatCombiner<Req, std::optional<std::uint64_t>>;
+  const Combiner::CostConfig costs{/*charge_lock_llc=*/true,
+                                   /*charge_slot_llc=*/true};
+  Combiner enq_fc(costs);
+  Combiner deq_fc(costs);
+  Combiner& deq_role_fc = single_lock ? enq_fc : deq_fc;
+  const auto serve = [&](Context& cctx, std::vector<Combiner::Pending>& batch) {
+    for (auto& p : batch) {
+      if (cfg.charge_node_access) cctx.charge(MemClass::kCpuDram);
+      std::optional<std::uint64_t> out;
+      if (p.request.is_enq) {
+        items.push_back(p.request.value);
+      } else if (!items.empty()) {
+        out = items.front();
+        items.pop_front();
+      }
+      p.slot->set(cctx, out);
+    }
+  };
 
   std::uint64_t total_ops = 0;
-  for (std::size_t i = 0; i < cfg.enqueuers; ++i) {
-    engine.spawn("enq" + std::to_string(i), [&, i](Context& ctx) {
+  const auto spawn = [&](std::string name, bool is_enq, std::size_t slot) {
+    engine.spawn(std::move(name), [&, is_enq, slot](Context& ctx) {
       check::ThreadLog* log =
-          cfg.recorder != nullptr ? &cfg.recorder->log(i) : nullptr;
+          cfg.recorder != nullptr ? &cfg.recorder->log(slot) : nullptr;
+      Combiner& fc = is_enq ? enq_fc : deq_role_fc;
       ArrivalPacer pacer(cfg, ctx);
       std::uint64_t ops = 0;
       while (ctx.now() < cfg.duration_ns) {
@@ -108,20 +56,19 @@ RunResult run_fc_queue(const QueueConfig& cfg, bool single_lock) {
         if (intended >= cfg.duration_ns) break;
         const Time issued = ctx.now();
         const std::uint64_t value =
-            log != nullptr
-                ? ((static_cast<std::uint64_t>(i) + 1) << 48) | ops
+            !is_enq ? 0
+            : log != nullptr
+                ? ((static_cast<std::uint64_t>(slot) + 1) << 48) | ops
                 : ctx.rng().next();
-        if (log != nullptr) log->begin(check::kEnq, value, issued);
-        enq_fc.submit(
-            ctx, value,
-            [&](Context& cctx, std::vector<EnqCombiner::Pending>& batch) {
-              for (auto& p : batch) {
-                if (cfg.charge_node_access) cctx.charge(MemClass::kCpuDram);
-                items.push_back(p.request);
-                p.slot->set(cctx, true);
-              }
-            });
-        if (log != nullptr) log->end(check::kRetTrue, ctx.now());
+        if (log != nullptr) {
+          log->begin(is_enq ? check::kEnq : check::kDeq, value, issued);
+        }
+        const std::optional<std::uint64_t> out =
+            fc.submit(ctx, Req{is_enq, value}, serve);
+        if (log != nullptr) {
+          log->end(is_enq ? check::kRetTrue : out.value_or(check::kRetEmpty),
+                   ctx.now());
+        }
         if (cfg.latency_sink_ns != nullptr) {
           cfg.latency_sink_ns->push_back(
               static_cast<double>(ctx.now() - intended));
@@ -130,42 +77,12 @@ RunResult run_fc_queue(const QueueConfig& cfg, bool single_lock) {
       }
       total_ops += ops;
     });
+  };
+  for (std::size_t i = 0; i < cfg.enqueuers; ++i) {
+    spawn("enq" + std::to_string(i), true, i);
   }
   for (std::size_t i = 0; i < cfg.dequeuers; ++i) {
-    engine.spawn("deq" + std::to_string(i), [&, i](Context& ctx) {
-      check::ThreadLog* log =
-          cfg.recorder != nullptr
-              ? &cfg.recorder->log(cfg.enqueuers + i)
-              : nullptr;
-      ArrivalPacer pacer(cfg, ctx);
-      std::uint64_t ops = 0;
-      while (ctx.now() < cfg.duration_ns) {
-        const Time intended = pacer.next(ctx);
-        if (intended >= cfg.duration_ns) break;
-        const Time issued = ctx.now();
-        if (log != nullptr) log->begin(check::kDeq, 0, issued);
-        const std::optional<std::uint64_t> out = deq_fc.submit(
-            ctx, 0,
-            [&](Context& cctx, std::vector<DeqCombiner::Pending>& batch) {
-              for (auto& p : batch) {
-                if (cfg.charge_node_access) cctx.charge(MemClass::kCpuDram);
-                std::optional<std::uint64_t> out;
-                if (!items.empty()) {
-                  out = items.front();
-                  items.pop_front();
-                }
-                p.slot->set(cctx, out);
-              }
-            });
-        if (log != nullptr) log->end(out.value_or(check::kRetEmpty), ctx.now());
-        if (cfg.latency_sink_ns != nullptr) {
-          cfg.latency_sink_ns->push_back(
-              static_cast<double>(ctx.now() - intended));
-        }
-        ++ops;
-      }
-      total_ops += ops;
-    });
+    spawn("deq" + std::to_string(i), false, cfg.enqueuers + i);
   }
   engine.run();
   return {total_ops, cfg.duration_ns};

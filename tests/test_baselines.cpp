@@ -8,12 +8,12 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "baselines/faa_queue.hpp"
 #include "baselines/fc_structures.hpp"
-#include "baselines/flat_combining.hpp"
 #include "baselines/hoh_list.hpp"
 #include "baselines/lazy_list.hpp"
 #include "baselines/lockfree_skiplist.hpp"
@@ -305,17 +305,21 @@ TEST(FcQueue, MpmcStress) {
 
 // ---------- flat-combining harness ----------
 
-TEST(FlatCombiner, EveryRequestExecutedExactlyOnce) {
-  FlatCombiner<int, int> fc;
+// The FC structures' serve-in-place path, driven directly: the
+// RequestCombiner leader serves the gathered batch inside its send callback
+// and writes each result through the entry's slot.
+
+TEST(CombineInPlace, EveryRequestExecutedExactlyOnce) {
+  runtime::RequestCombiner fc;
   std::uint64_t shared_sum = 0;  // only the combiner touches it
   constexpr int kThreads = 4;
   constexpr int kOps = 20000;
   // On a small host the threads can serialize so perfectly that every
-  // combining pass serves exactly one request, making max_combined >= 2 a
+  // combining pass serves exactly one request, making max_batch >= 2 a
   // bet on scheduling. Force one multi-request batch deterministically: the
   // first combiner stalls inside serve() until two other threads are inside
-  // execute() (each publishes its record on entry), so the combiner's
-  // re-scan pass must pick up a batch of at least two.
+  // combine_in_place() (each publishes its record on entry), so the next
+  // leader's pass must pick up a batch of at least two.
   std::atomic<int> inflight{0};
   std::atomic<bool> stalled{false};
   std::vector<std::thread> threads;
@@ -323,17 +327,21 @@ TEST(FlatCombiner, EveryRequestExecutedExactlyOnce) {
     threads.emplace_back([&] {
       for (int i = 1; i <= kOps; ++i) {
         inflight.fetch_add(1);
-        fc.execute(i, [&](auto& batch) {
-          if (!stalled.exchange(true)) {
-            while (inflight.load() < 3) std::this_thread::yield();
-            // Give the concurrent callers time to finish publishing.
-            std::this_thread::sleep_for(std::chrono::milliseconds(2));
-          }
-          for (auto* rec : batch) {
-            shared_sum += static_cast<std::uint64_t>(rec->req);
-            rec->res = rec->req;
-          }
-        });
+        runtime::FatEntry e{};
+        e.value = static_cast<std::uint64_t>(i);
+        const int got = combine_in_place<int>(
+            fc, e, [&](std::span<const runtime::FatEntry> batch) {
+              if (!stalled.exchange(true)) {
+                while (inflight.load() < 3) std::this_thread::yield();
+                // Give the concurrent callers time to finish publishing.
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+              }
+              for (const runtime::FatEntry& rec : batch) {
+                shared_sum += rec.value;
+                result_of<int>(rec) = static_cast<int>(rec.value);
+              }
+            });
+        EXPECT_EQ(got, i);
         inflight.fetch_sub(1);
       }
     });
@@ -342,26 +350,46 @@ TEST(FlatCombiner, EveryRequestExecutedExactlyOnce) {
   const std::uint64_t per_thread =
       static_cast<std::uint64_t>(kOps) * (kOps + 1) / 2;
   EXPECT_EQ(shared_sum, kThreads * per_thread);
-  EXPECT_GE(fc.max_combined(), 2u);
+  EXPECT_GE(fc.max_batch(), 2u);
+  EXPECT_EQ(fc.requests_combined(),
+            static_cast<std::uint64_t>(kThreads) * kOps);
 }
 
-TEST(FlatCombiner, ReturnsTheCallersOwnResult) {
-  FlatCombiner<int, int> fc;
+TEST(CombineInPlace, ReturnsTheCallersOwnResult) {
+  runtime::RequestCombiner fc;
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 5000; ++i) {
         const int want = t * 100000 + i;
-        const int got = fc.execute(want, [](auto& batch) {
-          for (auto* rec : batch) rec->res = rec->req;
-        });
+        runtime::FatEntry e{};
+        e.value = static_cast<std::uint64_t>(want);
+        const int got = combine_in_place<int>(
+            fc, e, [](std::span<const runtime::FatEntry> batch) {
+              for (const runtime::FatEntry& rec : batch) {
+                result_of<int>(rec) = static_cast<int>(rec.value);
+              }
+            });
         if (got != want) failures.fetch_add(1);
       }
     });
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// Threads come and go: an FC structure keeps no per-thread state, so any
+// number of distinct threads may call it over its lifetime. One thread runs
+// at a time.
+TEST(FcLinkedList, TwoHundredShortLivedThreadsInTurn) {
+  FcLinkedList list(true);
+  for (std::uint64_t key = 1; key <= 200; ++key) {
+    bool added = false;
+    std::thread([&] { added = list.add(key); }).join();
+    ASSERT_TRUE(added) << "key " << key;
+  }
+  EXPECT_EQ(list.size(), 200u);
 }
 
 }  // namespace

@@ -685,10 +685,11 @@ TEST(PimSystemObs, MailboxMetricsVisibleThroughRegistryAndAccessors) {
   runtime::PimSystem system(cfg);
   std::atomic<int> served{0};
   for (std::size_t v = 0; v < cfg.num_vaults; ++v) {
-    system.set_handler(v, [&served](runtime::PimCoreApi&,
-                                    const runtime::Message&) {
-      served.fetch_add(1, std::memory_order_relaxed);
-    });
+    system.set_batch_handler(
+        v, [&served](runtime::PimCoreApi&, const runtime::Message*,
+                     std::size_t n) {
+          served.fetch_add(static_cast<int>(n), std::memory_order_relaxed);
+        });
   }
   system.start();
   for (int i = 0; i < 200; ++i) {

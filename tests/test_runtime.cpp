@@ -9,6 +9,7 @@
 #include <atomic>
 #include <new>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -176,10 +177,13 @@ TEST(PimSystem, EchoHandlerServesManyCpus) {
   config.num_vaults = 2;
   PimSystem system(config);
   for (std::size_t v = 0; v < 2; ++v) {
-    system.set_handler(v, [](PimCoreApi& api, const Message& m) {
-      static_cast<ResponseSlot<std::uint64_t>*>(m.slot)->publish(
-          m.value * 2 + api.vault_id(), api.reply_ready_ns());
-    });
+    system.set_batch_handler(
+        v, [](PimCoreApi& api, const Message* msgs, std::size_t n) {
+          for (const Message& m : std::span(msgs, n)) {
+            static_cast<ResponseSlot<std::uint64_t>*>(m.slot)->publish(
+                m.value * 2 + api.vault_id(), api.reply_ready_ns());
+          }
+        });
   }
   system.start();
   std::vector<std::thread> cpus;
@@ -210,16 +214,19 @@ TEST(PimSystem, PimToPimMessagingWorks) {
   PimSystem system(config);
   std::atomic<std::uint64_t> relayed{0};
   // Vault 0 relays to vault 1; vault 1 records and replies to the CPU.
-  system.set_handler(0, [](PimCoreApi& api, const Message& m) {
-    Message fwd = m;
-    api.send(1, fwd);
-  });
-  system.set_handler(1, [&](PimCoreApi& api, const Message& m) {
-    relayed.fetch_add(m.value);
-    EXPECT_EQ(m.sender, 0u) << "PIM-to-PIM sends must stamp the sender";
-    static_cast<ResponseSlot<bool>*>(m.slot)->publish(true,
-                                                      api.reply_ready_ns());
-  });
+  system.set_batch_handler(
+      0, [](PimCoreApi& api, const Message* msgs, std::size_t n) {
+        for (const Message& m : std::span(msgs, n)) api.send(1, m);
+      });
+  system.set_batch_handler(
+      1, [&](PimCoreApi& api, const Message* msgs, std::size_t n) {
+        for (const Message& m : std::span(msgs, n)) {
+          relayed.fetch_add(m.value);
+          EXPECT_EQ(m.sender, 0u) << "PIM-to-PIM sends must stamp the sender";
+          static_cast<ResponseSlot<bool>*>(m.slot)->publish(
+              true, api.reply_ready_ns());
+        }
+      });
   system.start();
   ResponseSlot<bool> slot;
   for (std::uint64_t i = 1; i <= 100; ++i) {
@@ -256,10 +263,13 @@ TEST(PimSystem, InjectionDelaysMessageProcessing) {
   config.inject_latency = true;
   config.params.pim_ns = 10000.0;  // Lmessage = 30 us: measurable
   PimSystem system(config);
-  system.set_handler(0, [](PimCoreApi& api, const Message& m) {
-    static_cast<ResponseSlot<std::uint64_t>*>(m.slot)->publish(
-        now_ns(), api.reply_ready_ns());
-  });
+  system.set_batch_handler(
+      0, [](PimCoreApi& api, const Message* msgs, std::size_t n) {
+        for (const Message& m : std::span(msgs, n)) {
+          static_cast<ResponseSlot<std::uint64_t>*>(m.slot)->publish(
+              now_ns(), api.reply_ready_ns());
+        }
+      });
   system.start();
   ResponseSlot<std::uint64_t> slot;
   Message m;
@@ -279,9 +289,10 @@ TEST(PimSystem, StopDrainsPendingMessages) {
   config.num_vaults = 1;
   PimSystem system(config);
   std::atomic<int> handled{0};
-  system.set_handler(0, [&](PimCoreApi&, const Message&) {
-    handled.fetch_add(1);
-  });
+  system.set_batch_handler(
+      0, [&](PimCoreApi&, const Message*, std::size_t n) {
+        handled.fetch_add(static_cast<int>(n));
+      });
   system.start();
   for (int i = 0; i < 500; ++i) {
     Message m;
@@ -326,10 +337,14 @@ TEST(TimerSlack, LibrarySleepersWakeOnTimeAndBystandersKeepTheirSlack) {
   config.params.pim_ns = 1'000'000.0 / config.params.r1;  // Lmessage = 1 ms
   PimSystem system(config);
   std::atomic<unsigned long> handler_slack{kDefaultSlackNs};
-  system.set_handler(0, [&](PimCoreApi& api, const Message& m) {
-    handler_slack.store(timer_slack_ns());
-    static_cast<ResponseSlot<int>*>(m.slot)->publish(1, api.reply_ready_ns());
-  });
+  system.set_batch_handler(
+      0, [&](PimCoreApi& api, const Message* msgs, std::size_t n) {
+        handler_slack.store(timer_slack_ns());
+        for (const Message& m : std::span(msgs, n)) {
+          static_cast<ResponseSlot<int>*>(m.slot)->publish(
+              1, api.reply_ready_ns());
+        }
+      });
   system.start();  // the vault thread inherits the default slack
 
   std::atomic<unsigned long> client_slack{0};
