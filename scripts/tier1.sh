@@ -226,7 +226,7 @@ stage_asan() {
     test_mpmc_ebr soak_reclamation test_core_units test_extensions \
     test_core_structures test_mailbox_batch test_sim_structures \
     test_sim_rebalance test_checker_mutation test_schedule_explore \
-    test_sentinel_refresh
+    test_sentinel_refresh test_runtime
   # LSan runs at exit by default under ASan: any node reclamation drops on
   # the floor (or frees twice) fails here even if no assertion notices.
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_baselines
@@ -248,6 +248,8 @@ stage_asan() {
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_checker_mutation
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_schedule_explore
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_sentinel_refresh
+  # The vault arena: mapped at construction, unmapped at teardown.
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/test_runtime
   # Cap the malloc quarantine: its default (256 MB) parks freed churn nodes
   # in RSS and would trip the soak's leak ceiling without any actual leak.
   ASAN_OPTIONS="halt_on_error=1:quarantine_size_mb=32" \

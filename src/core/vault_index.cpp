@@ -1,6 +1,7 @@
 #include "core/vault_index.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <stdexcept>
 
@@ -34,12 +35,11 @@ VaultIndex::VaultIndex(runtime::Vault& vault, std::uint64_t key_min,
   const std::uint64_t last = key_max - key_min;
   width_ = last / (last < kMaxWindows ? last + 1 : kMaxWindows) + 1;
   windows_ = static_cast<std::uint32_t>(last / width_ + 1);
+  // An all-zero block is an empty leaf, so the fresh region is R empty
+  // roots as it stands, and a window's page is first touched when a key
+  // lands in it.
   roots_ = static_cast<Node*>(
-      vault_.allocate(windows_ * sizeof(Node), alignof(Node)));
-  for (std::uint32_t w = 0; w < windows_; ++w) {
-    roots_[w].count = 0;
-    roots_[w].leaf = true;
-  }
+      vault_.allocate_zeroed(windows_ * sizeof(Node), alignof(Node)));
   height_.assign(windows_, 1);
 }
 
@@ -53,10 +53,10 @@ int VaultIndex::height() const noexcept {
   return *std::max_element(height_.begin(), height_.end());
 }
 
-VaultIndex::Node* VaultIndex::make_node(bool leaf) {
+VaultIndex::Node* VaultIndex::make_node(bool inner) {
   Node* node = static_cast<Node*>(vault_.allocate(sizeof(Node), alignof(Node)));
   node->count = 0;
-  node->leaf = leaf;
+  node->inner = inner;
   return node;
 }
 
@@ -120,12 +120,20 @@ bool VaultIndex::insert_at(Path& path, std::uint64_t key,
                            std::uint64_t& created) {
   const int level = height_[path.window] - 1;
   Node* leaf = path.node[level];
+  if (level == 0) {
+    // A root leaf may sit on a page no one has touched yet. Storing to it
+    // before loading from it takes the page with one fault; a load first
+    // would map the shared zero page and the insert's store would fault
+    // again to copy it. The store writes what a leaf already holds.
+    leaf->inner = false;
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+  }
   int pos = seek(leaf, key);
   if (pos < leaf->count && leaf->key[pos] == key) return false;
   Node* right = nullptr;
   if (leaf->count == kLeafKeys) {
     constexpr int kHalf = kLeafKeys / 2;
-    right = make_node(/*leaf=*/true);
+    right = make_node(/*inner=*/false);
     ++created;
     std::copy(leaf->key + kHalf, leaf->key + kLeafKeys, right->key);
     right->count = kLeafKeys - kHalf;
@@ -146,17 +154,17 @@ bool VaultIndex::insert_at(Path& path, std::uint64_t key,
 
 void VaultIndex::link_split(Path& path, int level, Node* right, bool follow,
                             std::uint64_t& created) {
-  const std::uint64_t sep = right->leaf ? right->key[0] : right->in.sep[0];
+  const std::uint64_t sep = right->inner ? right->in.sep[0] : right->key[0];
   if (level == 0) {
     // Root split: the root block stays put. Its left half moves into a new
     // child, and the root becomes an inner node over the two halves.
     std::uint8_t& height = height_[path.window];
     assert(height < kMaxDepth);
     Node* top = root(path.window);
-    Node* left = make_node(top->leaf);
+    Node* left = make_node(top->inner);
     ++created;
     *left = *top;
-    top->leaf = false;
+    top->inner = true;
     top->in.sep[0] = 0;  // entry 0's separator is never compared
     top->in.child[0] = ref(left);
     top->in.sep[1] = sep;
@@ -177,7 +185,7 @@ void VaultIndex::link_split(Path& path, int level, Node* right, bool follow,
   Node* sibling = nullptr;
   if (parent->count == kFanout) {
     constexpr int kHalf = (kFanout + 1) / 2;
-    sibling = make_node(/*leaf=*/false);
+    sibling = make_node(/*inner=*/true);
     ++created;
     std::copy(parent->in.sep + kHalf, parent->in.sep + kFanout,
               sibling->in.sep);

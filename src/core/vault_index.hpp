@@ -13,18 +13,23 @@
 // rather than one.
 //
 // Windows. The index splits its key domain [key_min, key_max] into up to
-// R = min(1024, span) equal windows (the width rounds up, so the last
-// window may be narrower and a span that 1024 does not divide may get
+// R = min(4096, span) equal windows (the width rounds up, so the last
+// window may be narrower and a span that 4096 does not divide may get
 // fewer), the paper's equal-range split (one range per vault, Section 4.2)
-// carried one level down, and gives each window its own tree. Every window's root is a block at a fixed address in one
-// contiguous R x 128-byte region reserved at construction, so the core
-// computes a key's root with arithmetic and reads nothing to find it; a
-// search then pays one read per node of a small tree instead of one per
-// level of a tree over the whole vault. Keys below key_min or above
-// key_max fall in the first or last window. A window's tree never holds
-// more keys than one tree over the whole vault would, so a clustered key
-// set costs no more than it would without windows. The region costs
-// 128 KB per index at R = 1024.
+// carried one level down, and gives each window its own tree. Every
+// window's root is a block at a fixed address in one contiguous R x
+// 128-byte region reserved at construction, so the core computes a key's
+// root with arithmetic and reads nothing to find it; a search then pays
+// one read per node of a small tree instead of one per level of a tree
+// over the whole vault. With R this wide, a window of a uniform key set
+// rarely outgrows one root leaf, and a search reads one node. Keys below
+// key_min or above key_max fall in the first or last window. A window's
+// tree never holds more keys than one tree over the whole vault would, so
+// a clustered key set costs no more than it would without windows. The
+// region spans 512 KB per index at R = 4096, but it starts as zero pages
+// of the vault's arena (Vault::allocate_zeroed) and an all-zero block is
+// an empty leaf, so construction writes nothing and a page of 32 roots
+// becomes resident only when a key lands in one of its windows.
 //
 // Shape. A leaf holds up to kLeafKeys sorted keys. An inner node holds up
 // to kFanout (separator, child) entries; separator i is a lower bound of
@@ -78,7 +83,7 @@ class VaultIndex {
   static constexpr int kLeafKeys = 15;
   static constexpr int kFanout = 10;
   /// Windows a key domain is split into, at most (one per key below that).
-  static constexpr std::uint64_t kMaxWindows = 1024;
+  static constexpr std::uint64_t kMaxWindows = 4096;
   /// Path length bound. A root split needs a full root, and refilling a
   /// split node takes at least three splits one level down, so height h
   /// needs over 3^(h-2) leaf splits: 32 levels are out of reach.
@@ -211,7 +216,7 @@ class VaultIndex {
       std::uint32_t child[kFanout];  // vault offsets
     };
     std::uint16_t count;
-    bool leaf;
+    bool inner;  // false in a zero block: an empty leaf
     union {
       std::uint64_t key[kLeafKeys];
       Inner in;
@@ -223,7 +228,7 @@ class VaultIndex {
   std::optional<std::uint64_t> extract_at_least(std::uint64_t key,
                                                 std::uint64_t& reads);
 
-  Node* make_node(bool leaf);
+  Node* make_node(bool inner);
   Node* child(const Node* inner, int slot) const {
     return static_cast<Node*>(vault_.at_offset(inner->in.child[slot]));
   }

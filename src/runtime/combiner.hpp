@@ -122,12 +122,12 @@ class RequestCombiner {
     for (std::uint32_t i = 0; i < n; ++i) {
       picked[i]->shipped.value.store(true, std::memory_order_release);
     }
-    batches_.value.fetch_add(1, std::memory_order_relaxed);
-    combined_.value.fetch_add(n, std::memory_order_relaxed);
-    std::uint64_t seen = max_batch_.value.load(std::memory_order_relaxed);
-    while (n > seen && !max_batch_.value.compare_exchange_weak(
-                           seen, n, std::memory_order_relaxed)) {
-    }
+    // Only the lock holder writes the counters, and the lock orders one
+    // holder's stores before the next one's loads: no read-modify-write.
+    const auto relaxed = std::memory_order_relaxed;
+    batches_.value.store(batches_.value.load(relaxed) + 1, relaxed);
+    combined_.value.store(combined_.value.load(relaxed) + n, relaxed);
+    if (n > max_batch_.value.load(relaxed)) max_batch_.value.store(n, relaxed);
   }
 
   MpmcQueue<Record*> queue_;

@@ -1,5 +1,7 @@
 #include "runtime/vault.hpp"
 
+#include <sys/mman.h>
+
 #include <cassert>
 #include <cstring>
 
@@ -23,10 +25,19 @@ VaultMetrics& vault_metrics() {
 }
 }  // namespace
 
+// An anonymous private mapping rather than new[] or calloc: untouched pages
+// read zero and stay out of RSS, and a vault torn down returns its pages to
+// the OS instead of leaving a chunk that the next vault's allocator would
+// clear again.
 Vault::Vault(std::size_t vault_id, std::size_t capacity_bytes)
-    : id_(vault_id),
-      capacity_(capacity_bytes),
-      arena_(new std::byte[capacity_bytes]) {}
+    : id_(vault_id), capacity_(capacity_bytes) {
+  void* p = ::mmap(nullptr, capacity_bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  arena_ = static_cast<std::byte*>(p);
+}
+
+Vault::~Vault() { ::munmap(arena_, capacity_); }
 
 void Vault::assert_owner() const noexcept {
   assert((owner_ == std::thread::id{} || owner_ == std::this_thread::get_id()) &&
@@ -42,6 +53,30 @@ std::size_t Vault::size_class(std::size_t bytes) noexcept {
   return kNumClasses;  // not recycled
 }
 
+void Vault::note_alloc(std::size_t bytes) noexcept {
+  used_ += bytes;
+  ++allocs_;
+  vault_metrics().allocs.add(1);
+  vault_metrics().bytes_hwm.record_max(used_);
+}
+
+void* Vault::bump(std::size_t bytes, std::size_t alignment) {
+  // Free-listed classes round up so recycled blocks fit any request of the
+  // same class. Alignment applies to the absolute address, not the arena
+  // offset.
+  const std::size_t cls = size_class(bytes);
+  const std::size_t alloc_bytes =
+      cls < kNumClasses ? (std::size_t{16} << cls) : bytes;
+  const auto base = reinterpret_cast<std::uintptr_t>(arena_);
+  const std::uintptr_t aligned =
+      (base + bump_ + alignment - 1) & ~(alignment - 1);
+  const std::size_t offset = aligned - base;
+  if (offset + alloc_bytes > capacity_) throw std::bad_alloc();
+  bump_ = offset + alloc_bytes;
+  note_alloc(bytes);
+  return arena_ + offset;
+}
+
 void* Vault::allocate(std::size_t bytes, std::size_t alignment) {
   assert_owner();
   const std::size_t cls = size_class(bytes);
@@ -49,28 +84,15 @@ void* Vault::allocate(std::size_t bytes, std::size_t alignment) {
       alignment <= alignof(std::max_align_t)) {
     void* p = free_lists_[cls];
     std::memcpy(&free_lists_[cls], p, sizeof(void*));
-    used_ += bytes;
-    ++allocs_;
-    vault_metrics().allocs.add(1);
-    vault_metrics().bytes_hwm.record_max(used_);
+    note_alloc(bytes);
     return p;
   }
-  // Bump allocation; free-listed classes round up so recycled blocks fit any
-  // request of the same class. Alignment applies to the absolute address,
-  // not the arena offset (the arena base is only new[]-aligned).
-  const std::size_t alloc_bytes =
-      cls < kNumClasses ? (std::size_t{16} << cls) : bytes;
-  const auto base = reinterpret_cast<std::uintptr_t>(arena_.get());
-  const std::uintptr_t aligned =
-      (base + bump_ + alignment - 1) & ~(alignment - 1);
-  const std::size_t offset = aligned - base;
-  if (offset + alloc_bytes > capacity_) throw std::bad_alloc();
-  bump_ = offset + alloc_bytes;
-  used_ += bytes;
-  ++allocs_;
-  vault_metrics().allocs.add(1);
-  vault_metrics().bytes_hwm.record_max(used_);
-  return arena_.get() + offset;
+  return bump(bytes, alignment);
+}
+
+void* Vault::allocate_zeroed(std::size_t bytes, std::size_t alignment) {
+  assert_owner();
+  return bump(bytes, alignment);
 }
 
 void Vault::deallocate(void* p, std::size_t bytes,

@@ -8,13 +8,14 @@
 // Allocation is a bump arena plus per-size-class free lists — single-
 // threaded by construction, so no synchronization is needed (that absence
 // is itself part of what makes PIM data structures simpler, a point the
-// paper emphasizes).
+// paper emphasizes). The arena is one anonymous memory mapping: its pages
+// read zero and cost no resident memory until first touched, so a block
+// the bump pointer hands out for the first time reads all-zero.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
 #include <thread>
 #include <utility>
@@ -24,7 +25,10 @@ namespace pimds::runtime {
 
 class Vault {
  public:
+  /// Maps a `capacity_bytes` arena; throws std::bad_alloc if the OS cannot
+  /// (as it cannot for 0 bytes).
   Vault(std::size_t vault_id, std::size_t capacity_bytes);
+  ~Vault();
 
   Vault(const Vault&) = delete;
   Vault& operator=(const Vault&) = delete;
@@ -48,6 +52,11 @@ class Vault {
   /// Raw allocation (throws std::bad_alloc when the vault is exhausted).
   void* allocate(std::size_t bytes, std::size_t alignment);
 
+  /// Allocation that never takes a recycled block: it comes from the bump
+  /// region, which no one has written, so it reads all-zero and its pages
+  /// stay unbacked until first written.
+  void* allocate_zeroed(std::size_t bytes, std::size_t alignment);
+
   /// Return a block obtained from allocate() to the vault's free list.
   void deallocate(void* p, std::size_t bytes, std::size_t alignment) noexcept;
 
@@ -60,14 +69,14 @@ class Vault {
   std::uint32_t offset_of(const void* p) const noexcept {
     assert(capacity_ <= kMaxOffsetCapacity && "vault too large for offsets");
     const auto off = static_cast<std::size_t>(
-        static_cast<const std::byte*>(p) - arena_.get());
+        static_cast<const std::byte*>(p) - arena_);
     assert(off < capacity_ && "pointer outside the vault arena");
     return static_cast<std::uint32_t>(off);
   }
   void* at_offset(std::uint32_t offset) const noexcept {
     assert(capacity_ <= kMaxOffsetCapacity && "vault too large for offsets");
     assert(offset < capacity_ && "offset outside the vault arena");
-    return arena_.get() + offset;
+    return arena_ + offset;
   }
 
   /// Typed helpers.
@@ -87,13 +96,17 @@ class Vault {
  private:
   void assert_owner() const noexcept;
   static std::size_t size_class(std::size_t bytes) noexcept;
+  /// A never-used block off the bump region.
+  void* bump(std::size_t bytes, std::size_t alignment);
+  /// Count an allocation of `bytes` in the vault and registry totals.
+  void note_alloc(std::size_t bytes) noexcept;
 
   std::size_t id_;
   std::size_t capacity_;
   std::size_t used_ = 0;
   std::uint64_t allocs_ = 0;
   std::uint64_t frees_ = 0;
-  std::unique_ptr<std::byte[]> arena_;
+  std::byte* arena_ = nullptr;  // capacity_ bytes, mapped
   std::size_t bump_ = 0;
   // Free lists for 16/32/64/128/256-byte classes; larger blocks are not
   // recycled (rare in the data structures here).

@@ -178,9 +178,18 @@ TEST(FcLinkedList, MatchesStdSetBothModes) {
 }
 
 TEST(FcLinkedList, DisjointRangeStressTriggersCombining) {
-  FcLinkedList list(true);
-  EXPECT_EQ(disjoint_range_stress(list, 4, 4000), 0);
-  EXPECT_GE(list.max_combined(), 2u)
+  // Whether two requests meet in one batch is up to the scheduler: on an
+  // oversubscribed host the 4 threads may happen to run one at a time. So
+  // the round repeats, each on a fresh list and each checked, until a batch
+  // of two forms, up to a fixed cap.
+  constexpr int kMaxRounds = 50;
+  std::uint64_t max_combined = 0;
+  for (int round = 0; round < kMaxRounds && max_combined < 2; ++round) {
+    FcLinkedList list(true);
+    ASSERT_EQ(disjoint_range_stress(list, 4, 4000), 0) << "round " << round;
+    max_combined = list.max_combined();
+  }
+  EXPECT_GE(max_combined, 2u)
       << "4 threads hammering one combiner should batch";
 }
 

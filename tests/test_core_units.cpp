@@ -349,16 +349,19 @@ TEST(VaultIndex, DifferentialAgainstStdSetThroughGrowthAndCollapse) {
 
 // ------------------------------------------- VaultIndex key windows
 
-/// perfbench's skip-list domain, [1, 2^17]: 1,024 windows of 128 keys, of
-/// which vault 0 owns the lower 512.
+/// perfbench's skip-list domain, [1, 2^17]: kMaxWindows equal windows, of
+/// which vault 0 owns the lower half.
 constexpr std::uint64_t kBenchKeyMax = std::uint64_t{1} << 17;
 
 TEST(WindowedVaultIndex, ContainsChargesExactlyItsWindowsHeight) {
   runtime::Vault vault(0, 16u << 20);
   VaultIndex index(vault, 1, kBenchKeyMax);
-  ASSERT_EQ(index.windows(), 1024u);
-  ASSERT_EQ(index.window_start(1), 129u);
-  fill_uniform(index, 8192, 1);  // vault 0's half: ~16 keys per window
+  ASSERT_EQ(index.windows(), VaultIndex::kMaxWindows);
+  ASSERT_EQ(kBenchKeyMax % index.windows(), 0u);
+  const std::uint64_t width = kBenchKeyMax / index.windows();
+  ASSERT_EQ(index.window_start(1), 1 + width);
+  // Vault 0's half, [1, 2^16], at ~16 keys per window.
+  fill_uniform(index, 16 * (index.windows() / 2), 1);
   Xoshiro256 rng(2);
   constexpr int kProbes = 4000;
   std::uint64_t total = 0;
@@ -372,6 +375,52 @@ TEST(WindowedVaultIndex, ContainsChargesExactlyItsWindowsHeight) {
   // One tree over the vault is 5 levels here; a window's is 1 or 2.
   EXPECT_LT(static_cast<double>(total) / kProbes, 2.0);
   EXPECT_EQ(index.height(), 2);
+}
+
+/// True if `bytes` bytes from `p` all read zero.
+bool all_zero(const void* p, std::size_t bytes) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  return std::all_of(b, b + bytes, [](unsigned char c) { return c == 0; });
+}
+
+TEST(WindowedVaultIndex, ZeroRegionIsAnEmptyIndex) {
+  runtime::Vault vault(0, 16u << 20);
+  VaultIndex index(vault, 1, kBenchKeyMax);
+  constexpr std::size_t kNode = VaultIndex::kNodeBytes;
+  const std::uint32_t windows = index.windows();
+  // The root region is the fresh vault's only block, at the arena base.
+  ASSERT_EQ(vault.allocs(), 1u);
+  ASSERT_EQ(vault.bytes_used(), windows * kNode);
+  const auto* region = static_cast<const unsigned char*>(vault.at_offset(0));
+  ASSERT_TRUE(all_zero(region, windows * kNode));
+  for (std::uint32_t w = 0; w < windows; ++w) {
+    std::uint64_t steps = 0;
+    ASSERT_FALSE(index.contains(index.window_start(w), tally(steps))) << w;
+    ASSERT_EQ(steps, 1u) << w;
+  }
+  EXPECT_EQ(index.first_at_least(0), std::nullopt);
+  EXPECT_EQ(index.size(), 0u);
+
+  const std::uint32_t w = windows / 2;
+  ASSERT_TRUE(index.add(index.window_start(w) + 1));
+  EXPECT_FALSE(all_zero(region + w * kNode, kNode));
+  EXPECT_TRUE(all_zero(region, w * kNode));
+  EXPECT_TRUE(all_zero(region + (w + 1) * kNode, (windows - w - 1) * kNode));
+  EXPECT_EQ(index.first_at_least(0),
+            std::optional(index.window_start(w) + 1));
+  EXPECT_EQ(vault.allocs(), 1u);  // the key fit in the window's root leaf
+
+  // A region small enough for a recycled block still starts zeroed.
+  runtime::Vault used(1, 1u << 16);
+  void* stale = used.allocate(kNode, alignof(std::max_align_t));
+  std::fill_n(static_cast<unsigned char*>(stale), kNode, 0xff);
+  used.deallocate(stale, kNode, alignof(std::max_align_t));
+  VaultIndex one(used, 7, 7);
+  ASSERT_EQ(one.windows(), 1u);
+  EXPECT_FALSE(one.contains(7));
+  EXPECT_EQ(one.first_at_least(0), std::nullopt);
+  EXPECT_TRUE(one.add(7));
+  EXPECT_EQ(one.first_at_least(0), std::optional<std::uint64_t>(7));
 }
 
 TEST(WindowedVaultIndex, ClusteredKeysChargeWhatOneWholeDomainTreeCharges) {
@@ -443,10 +492,11 @@ TEST(WindowedVaultIndex, ClusteredKeysChargeWhatOneWholeDomainTreeCharges) {
 
 TEST(WindowedVaultIndex, DifferentialAgainstStdSetAcrossManyWindows) {
   runtime::Vault vault(0, 32u << 20);
-  VaultIndex index(vault, 1, 1u << 20);  // 1,024 windows of 1,024 keys
+  VaultIndex index(vault, 1, 1u << 20);
+  const std::uint64_t width = index.window_start(1) - index.window_start(0);
   std::set<std::uint64_t> reference;
   Xoshiro256 rng(6);
-  constexpr std::uint64_t kKeys = 1u << 16;  // the lowest 64 windows
+  constexpr std::uint64_t kKeys = 1u << 16;  // the lowest kKeys / width windows
   std::uint64_t splits = 0;
   std::uint64_t collapses = 0;
   const auto apply = [&](bool add, std::uint64_t key) {
@@ -483,7 +533,7 @@ TEST(WindowedVaultIndex, DifferentialAgainstStdSetAcrossManyWindows) {
   }
   EXPECT_EQ(index.height(), 3);
   ASSERT_EQ(index.size(), reference.size());
-  EXPECT_GE(splits, 2 * (kKeys >> 10));  // two root splits per window
+  EXPECT_GE(splits, 2 * (kKeys / width));  // two root splits per window
   for (int i = 0; i < 3000; ++i) check(1 + rng.next_below(kKeys + 4096));
   // Empty windows 20-29: first_at_least must cross them.
   for (std::uint64_t key = index.window_start(20);
@@ -512,7 +562,8 @@ TEST(WindowedVaultIndex, DifferentialAgainstStdSetAcrossManyWindows) {
 
 TEST(WindowedVaultIndex, MigrationHelpersSweepAcrossWindowsIncludingEmptyOnes) {
   runtime::Vault source_vault(0, 16u << 20);
-  VaultIndex source(source_vault, 1, 1u << 18);  // windows of 256 keys
+  VaultIndex source(source_vault, 1, 1u << 18);
+  const std::uint64_t width = source.window_start(1) - source.window_start(0);
   constexpr std::uint32_t kFirst = 10;
   const std::uint64_t lo = source.window_start(kFirst);
   const std::uint64_t hi = source.window_start(kFirst + 5);
@@ -530,7 +581,7 @@ TEST(WindowedVaultIndex, MigrationHelpersSweepAcrossWindowsIncludingEmptyOnes) {
     source.add(key);
     if (in_sweep(key)) expected.push_back(key);
   }
-  ASSERT_EQ(expected.size(), 3 * 256u);
+  ASSERT_EQ(expected.size(), 3 * width);
   std::vector<std::uint64_t> moved;
   std::uint64_t extract_steps = 0;
   for (std::uint64_t cursor = lo;;) {
@@ -543,7 +594,7 @@ TEST(WindowedVaultIndex, MigrationHelpersSweepAcrossWindowsIncludingEmptyOnes) {
   }
   EXPECT_EQ(moved, expected);
   EXPECT_LE(extract_steps, moved.size() / 4);
-  EXPECT_EQ(source.size(), 2 * 256u);
+  EXPECT_EQ(source.size(), 2 * width);
   EXPECT_EQ(source.first_at_least(lo), std::optional(hi));
   for (std::uint32_t w = kFirst; w < kFirst + 5; ++w) {
     EXPECT_EQ(source.height(source.window_start(w)), 1) << w;
@@ -564,7 +615,7 @@ TEST(WindowedVaultIndex, MigrationHelpersSweepAcrossWindowsIncludingEmptyOnes) {
     ASSERT_TRUE(target.insert_ascending(finger, key, tally(insert_steps)));
   }
   EXPECT_LE(insert_steps, moved.size() / 4);
-  EXPECT_EQ(target.size(), 5 * 256u);
+  EXPECT_EQ(target.size(), 5 * width);
   for (std::uint64_t key = source.window_start(kFirst - 1);
        key < source.window_start(kFirst + 6); ++key) {
     ASSERT_EQ(target.contains(key), key < lo || key >= hi || in_sweep(key))

@@ -138,6 +138,10 @@ TEST(Table2, FatNodeAccessesMatchTheVaultIndex) {
                           core::VaultIndex::kFanout, windows);
     EXPECT_NEAR(measured / model, 1.0, 0.10)
         << keys << " keys: measured " << measured << " model " << model;
+    // Over the run's range a uniform search reads about one node.
+    if (keys <= 14000u) {
+      EXPECT_LE(model, 1.05) << keys << " keys";
+    }
   }
 }
 

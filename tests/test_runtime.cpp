@@ -6,7 +6,9 @@
 #include <sys/prctl.h>
 #endif
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <new>
 #include <set>
 #include <span>
@@ -42,6 +44,30 @@ TEST(Vault, ThrowsWhenExhausted) {
         for (int i = 0; i < 100; ++i) vault.allocate(512, 8);
       },
       std::bad_alloc);
+}
+
+TEST(Vault, FreshBlocksReadAllZero) {
+  Vault vault(0, 1 << 16);
+  const auto zero = [](const void* p, std::size_t bytes) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    return std::all_of(b, b + bytes, [](unsigned char c) { return c == 0; });
+  };
+  void* first = vault.allocate(128, 8);
+  EXPECT_TRUE(zero(first, 128));
+  // A recycled block keeps what its last owner wrote; allocate_zeroed
+  // passes it over for a fresh one.
+  std::memset(first, 0xff, 128);
+  vault.deallocate(first, 128, 8);
+  void* fresh = vault.allocate_zeroed(128, 8);
+  EXPECT_NE(fresh, first);
+  EXPECT_TRUE(zero(fresh, 128));
+  EXPECT_EQ(vault.allocate(128, 8), first);
+}
+
+TEST(Vault, UnmappableCapacityThrowsBadAlloc) {
+  // 2^62 bytes exceeds any user address space, so the mapping fails at once
+  // and commits nothing, whatever the host's overcommit policy.
+  EXPECT_THROW(Vault(0, std::size_t{1} << 62), std::bad_alloc);
 }
 
 TEST(Vault, CreateDestroyRunsConstructors) {
