@@ -7,11 +7,10 @@
 // with the non-blocking migration protocol — while the workload keeps
 // running — and measure throughput before and after.
 // `--active` swaps the manual operator split for the closed loop: the
-// AutoRebalancer's ACTIVE mode (with contention-adaptive combining) watches
-// the LoadMap and drives the same migration protocol itself. Run with
-// --telemetry and check the stream with
-// scripts/telemetry_report.py --assert-rebalance-settles: the windows must
-// go hot -> migrated -> settled.
+// AutoRebalancer's ACTIVE mode watches the LoadMap and drives the same
+// migration protocol itself. Run with --telemetry and check the stream
+// with scripts/telemetry_report.py --assert-rebalance-settles: the windows
+// must go hot -> migrated -> settled.
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -120,7 +119,6 @@ int main(int argc, char** argv) {
     act_opts.imbalance_exit = 1.3;
     act_opts.trigger.cooldown_periods = 1;
     act_opts.trigger.min_window_ops = 200;
-    act_opts.adaptive_combining = true;
     core::AutoRebalancer rebalancer(list, act_opts);
     rebalancer.start();
     spin_for_ns(1'500'000'000);  // a dozen policy windows to act

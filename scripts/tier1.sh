@@ -187,7 +187,7 @@ stage_tsan() {
   cmake --preset tsan > /dev/null
   cmake --build build-tsan -j --target \
     test_runtime test_mailbox_batch test_spsc_ring test_obs test_telemetry \
-    test_sentinel_refresh test_extensions
+    test_sentinel_refresh test_extensions test_linearizability
   # No suppressions: the runtime message path must be genuinely race-free.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_runtime
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_mailbox_batch
@@ -201,10 +201,14 @@ stage_tsan() {
   # sampler thread, and the LoadMap's single-writer sketch under readers.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_telemetry
   # Live migration races: client threads vs the Section 4.2.1 hand-over,
-  # including the ACTIVE AutoRebalancer choosing splits itself, and the
-  # adaptive-combining flips racing the send path.
+  # including the ACTIVE AutoRebalancer choosing splits itself, while every
+  # skip-list op rides its vault's RequestCombiner.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_sentinel_refresh
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_extensions
+  # Recorded histories on real threads through the combined skip-list,
+  # queue and list paths, checked by the linearizability oracle (CI's
+  # schedule-explore job runs it under TSan too).
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_linearizability
   # Epoch-based reclamation: the load/retire race (test_mpmc_ebr), the
   # lock-free baselines and the churn soak are the TSan targets for the
   # guard-entry fence pairing with the epoch scan.

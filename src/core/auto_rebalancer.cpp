@@ -28,12 +28,6 @@ obs::Counter& would_trigger_counter() {
   return c;
 }
 
-obs::Counter& combine_flips_counter() {
-  static obs::Counter& c =
-      obs::Registry::instance().counter("rebalancer.combine_flips");
-  return c;
-}
-
 obs::Gauge& settled_gauge() {
   static obs::Gauge& g = obs::Registry::instance().gauge(
       "rebalancer.settled", obs::GaugeMerge::kLast);
@@ -45,8 +39,7 @@ obs::Gauge& settled_gauge() {
 AutoRebalancer::AutoRebalancer(PimSkipList& list, Options options)
     : list_(list),
       options_(options),
-      step_(options.trigger),
-      combining_on_(list.loadmap().options().num_ranges, 0) {}
+      step_(options.trigger) {}
 
 AutoRebalancer::AutoRebalancer(PimSkipList& list)
     : AutoRebalancer(list, Options{}) {}
@@ -77,43 +70,6 @@ obs::LoadMap::HotVaultReport AutoRebalancer::last_report() const {
   return last_report_;
 }
 
-void AutoRebalancer::update_combining(
-    const obs::LoadMap::HotVaultReport& rep) {
-  if (rep.window_ops == 0) return;
-  const double total = static_cast<double>(rep.window_ops);
-  // Window share per range on the LoadMap grid (the report lists every
-  // range the window touched).
-  std::vector<double> share(combining_on_.size(), 0.0);
-  obs::LoadMap& lm = list_.loadmap();
-  for (const auto& r : rep.hot_ranges) {
-    share[lm.range_of(r.lo)] = static_cast<double>(r.ops) / total;
-  }
-  for (std::size_t i = 0; i < combining_on_.size(); ++i) {
-    const bool on = combining_on_[i] != 0;
-    if (!on && share[i] >= options_.combine_enter_share) {
-      combining_on_[i] = 1;
-      list_.set_range_combining(i, true);
-      combine_flips_counter().add(1);
-      if (options_.log_decisions) {
-        std::fprintf(stderr,
-                     "[auto_rebalancer] combining ON for range %zu "
-                     "(share %.2f >= %.2f)\n",
-                     i, share[i], options_.combine_enter_share);
-      }
-    } else if (on && share[i] < options_.combine_exit_share) {
-      combining_on_[i] = 0;
-      list_.set_range_combining(i, false);
-      combine_flips_counter().add(1);
-      if (options_.log_decisions) {
-        std::fprintf(stderr,
-                     "[auto_rebalancer] combining OFF for range %zu "
-                     "(share %.2f < %.2f)\n",
-                     i, share[i], options_.combine_exit_share);
-      }
-    }
-  }
-}
-
 void AutoRebalancer::account_migrated_keys() {
   const std::uint64_t cur = list_.migrated_keys();
   if (cur > last_migrated_keys_) {
@@ -125,9 +81,6 @@ void AutoRebalancer::account_migrated_keys() {
 void AutoRebalancer::tick() {
   const obs::LoadMap::HotVaultReport rep = list_.loadmap().report();
   account_migrated_keys();
-  if (options_.adaptive_combining && !options_.observe_only) {
-    update_combining(rep);
-  }
   if (rep.window_ops >= options_.trigger.min_window_ops) {
     {
       std::lock_guard<std::mutex> lock(report_mu_);

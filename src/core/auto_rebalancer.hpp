@@ -14,12 +14,6 @@
 //  - observe-only: same decisions, but LOG would-trigger lines
 //    (`rebalancer.would_trigger` counter + stderr) without migrating —
 //    the staging mode for trusting the policy before flipping it on.
-//
-// Contention-adaptive combining rides the same report: ranges whose window
-// share reaches `combine_enter_share` are flipped to CPU-side combining
-// (PimSkipList::set_range_combining), and flipped back once their share
-// falls below `combine_exit_share` — again an enter/exit band so a range
-// hovering at the threshold does not flap.
 #pragma once
 
 #include <atomic>
@@ -27,7 +21,6 @@
 #include <cstdint>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "core/pim_skiplist.hpp"
 #include "core/rebalance_step.hpp"
@@ -50,12 +43,6 @@ class AutoRebalancer {
     bool observe_only = false;
     /// Print one stderr line per trigger / would-trigger decision.
     bool log_decisions = true;
-    /// Flip per-range CPU-side combining from the report's hot ranges.
-    bool adaptive_combining = false;
-    /// A range turns combining ON at >= this share of the window's ops...
-    double combine_enter_share = 0.30;
-    /// ...and OFF again below this share (enter/exit band, see above).
-    double combine_exit_share = 0.10;
   };
 
   AutoRebalancer(PimSkipList& list, Options options);
@@ -94,7 +81,6 @@ class AutoRebalancer {
 
  private:
   void tick();
-  void update_combining(const obs::LoadMap::HotVaultReport& rep);
   void account_migrated_keys();
 
   PimSkipList& list_;
@@ -104,7 +90,6 @@ class AutoRebalancer {
   std::atomic<std::size_t> would_trigger_{0};
   std::atomic<bool> settled_{true};
   RebalanceStep<> step_;
-  std::vector<std::uint8_t> combining_on_;  // per-range, policy view
   std::uint64_t last_migrated_keys_ = 0;
   mutable std::mutex report_mu_;
   obs::LoadMap::HotVaultReport last_report_;

@@ -66,12 +66,6 @@ PimSkipList::PimSkipList(runtime::PimSystem& system, Options options)
   for (std::size_t v = 0; v < system_.num_vaults(); ++v) {
     combiners_.push_back(std::make_unique<runtime::RequestCombiner>());
   }
-  const std::size_t num_ranges = loadmap_.options().num_ranges;
-  combine_range_ =
-      std::make_unique<std::atomic<std::uint8_t>[]>(num_ranges);
-  for (std::size_t i = 0; i < num_ranges; ++i) {
-    combine_range_[i].store(0, std::memory_order_relaxed);
-  }
   for (std::size_t v = 0; v < system_.num_vaults(); ++v) {
     // The local index holds any key of the domain: migrations may later
     // hand this vault a range below the one it started with (Section
@@ -105,34 +99,24 @@ bool PimSkipList::submit(SetOp op, std::uint64_t key) {
   ResponseSlot<SkipListReply> slot;
   for (;;) {
     const std::size_t vault = directory_.route(key);
-    if (range_combining(key)) {
-      runtime::RequestCombiner::Entry entry{};
-      entry.key = key;
-      entry.value = static_cast<std::uint64_t>(op);
-      entry.slot = &slot;
-      // The combiner_wait phase: publication to "shipped in some batch".
-      const std::uint64_t t0 = obs::metrics_enabled() ? now_ns() : 0;
-      combiners_[vault]->submit(entry, [this, vault](Message& m) {
-        m.kind = kOpBatch;
-        system_.send(vault, m);
-      });
-      if (t0 != 0) {
-        obs::record_runtime_phase(obs::Phase::kCombinerWait, now_ns() - t0);
-      }
-    } else {
-      Message m;
-      m.kind = kOp;
-      m.key = key;
-      m.value = static_cast<std::uint64_t>(op);
-      m.slot = &slot;
+    runtime::RequestCombiner::Entry entry{};
+    entry.key = key;
+    entry.value = static_cast<std::uint64_t>(op);
+    entry.slot = &slot;
+    // The combiner_wait phase: submission to "shipped in some batch".
+    const std::uint64_t t0 = obs::metrics_enabled() ? now_ns() : 0;
+    combiners_[vault]->submit(entry, [this, vault](Message& m) {
+      m.kind = kOpBatch;
       system_.send(vault, m);
+    });
+    if (t0 != 0) {
+      obs::record_runtime_phase(obs::Phase::kCombinerWait, now_ns() - t0);
     }
     const SkipListReply r = slot.await();
     if (r.accepted) return r.result;
     // Stale routing: the partition moved; the directory has (or will have)
-    // the new owner. A combined entry routed on a stale read is rejected
-    // per-op by the vault's owned-ranges gate, so the retry here re-routes
-    // it exactly like a direct send.
+    // the new owner. The vault's owned-ranges gate rejected this entry on
+    // its own, so the retry re-routes just this op.
   }
 }
 
@@ -189,21 +173,19 @@ bool PimSkipList::migrate(std::uint64_t split_key, std::size_t to_vault) {
 void PimSkipList::handle(VaultCtx& ctx, const Message& m) {
   Vault& vault = *vaults_[ctx.self()];
   switch (m.kind) {
-    case kOp:
-      vault.request(ctx, static_cast<SetOp>(m.value), m.key,
-                    static_cast<Requester>(m.slot));
-      break;
     case kOpBatch: {
-      // Combined direct ops: each entry goes through the gate on its own
-      // (execute / forward / defer / reject); a deferred entry is copied,
-      // so the fat payload can be released as soon as the loop is done.
+      // Each entry goes through the gate on its own (execute / forward /
+      // defer / reject); a deferred entry is copied, so the fat payload can
+      // be released as soon as the loop is done. An outgoing migration
+      // advances after every served op, however the ops were batched.
       const runtime::FatEntry* entries = runtime::fat_entries(m);
       for (std::uint16_t j = 0; j < m.fat_count; ++j) {
         vault.request(ctx, static_cast<SetOp>(entries[j].value),
                       entries[j].key, static_cast<Requester>(entries[j].slot));
+        vault.step_migration(ctx);
       }
       runtime::release_fat_payload(m);
-      break;
+      return;
     }
     case kMigStart:
       vault.start_migration(ctx, m.key, m.value, m.sender,

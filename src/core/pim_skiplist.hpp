@@ -14,6 +14,13 @@
 // (core/vault_index.hpp) windowed over [key_min, key_max], so an
 // operation's beta is the height of its key's window tree rather than a
 // skip-list search.
+//
+// Every op has one request path: it rides the owning vault's
+// RequestCombiner (Section 4.1's combining) and travels in a fat kOpBatch
+// message, alone or beside co-located ops. The vault runs each entry
+// through SkipListVault's execute/forward/defer/reject gate on its own, so
+// an entry routed on a stale directory read is rejected and re-routed by
+// itself.
 #pragma once
 
 #include <atomic>
@@ -84,25 +91,8 @@ class PimSkipList {
   /// `rebalancer.migrated_keys`.
   std::uint64_t migrated_keys() const noexcept;
 
-  /// Contention-adaptive combining (keyed off the same LoadMap grid the
-  /// rebalancer reads): ops whose key falls in a flagged range bucket are
-  /// published to the owning vault's RequestCombiner and travel as one fat
-  /// kOpBatch message; unflagged ranges keep the one-message-per-op direct
-  /// path. The vault decodes each batch entry back into a plain op and runs
-  /// it through SkipListVault's execute/forward/defer/reject gate, so
-  /// migration semantics (and the CPU's reject-retry loop) are unchanged — a
-  /// batch routed on a stale directory read simply gets its member ops
-  /// rejected individually.
-  void set_range_combining(std::size_t range_idx, bool on) noexcept {
-    if (range_idx < loadmap_.options().num_ranges) {
-      combine_range_[range_idx].store(on ? 1 : 0, std::memory_order_relaxed);
-    }
-  }
-  bool range_combining(std::uint64_t key) const noexcept {
-    return combine_range_[loadmap_.range_of(key)].load(
-               std::memory_order_relaxed) != 0;
-  }
-  /// Fat batches shipped / ops carried by them, summed over vault combiners.
+  /// Fat batches shipped / ops carried by them (every op, retries
+  /// included), summed over vault combiners.
   std::uint64_t combined_batches() const noexcept;
   std::uint64_t combined_ops() const noexcept;
 
@@ -112,10 +102,9 @@ class PimSkipList {
 
  private:
   enum Kind : std::uint32_t {
-    kOp = 1,        ///< CPU -> vault: one op (value = SetOp)
-    kOpBatch = 2,   ///< CPU -> vault: combined fat batch of ops
-    kMigStart = 3,  ///< CPU -> source: key = split, value = hi, sender = to
-    kSignal = 4,    ///< vault -> vault: kSignal + SkipListSignal::Kind
+    kOpBatch = 1,   ///< CPU -> vault: combined fat batch of ops
+    kMigStart = 2,  ///< CPU -> source: key = split, value = hi, sender = to
+    kSignal = 3,    ///< vault -> vault: kSignal + SkipListSignal::Kind
   };
 
   using Requester = runtime::ResponseSlot<SkipListReply>*;
@@ -132,9 +121,6 @@ class PimSkipList {
   std::vector<std::unique_ptr<Vault>> vaults_;
   /// One combiner per destination vault (combining is per crossbar link).
   std::vector<std::unique_ptr<runtime::RequestCombiner>> combiners_;
-  /// LoadMap range grid -> combine flag; written by the rebalancer thread,
-  /// read on every submit().
-  std::unique_ptr<std::atomic<std::uint8_t>[]> combine_range_;
   CachePadded<std::atomic<bool>> migration_busy_{false};
 };
 

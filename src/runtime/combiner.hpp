@@ -5,13 +5,16 @@
 // (baselines::combine_in_place). The simulator keeps its own virtual-time
 // harness, sim/flat_combining.hpp (DESIGN §5j).
 //
-// Co-located CPU threads targeting the same PIM core publish their requests
-// into a shared queue; whoever wins the (try-lock) combiner role gathers up
-// to kMaxCombine published requests into one fat Message and ships the
-// whole batch across the crossbar as ONE message — the batch-per-crossing
-// shape. The PIM core serves every entry and publishes each requester's
-// response slot with one shared ready_ns: the batch's single fat response
-// message.
+// Co-located CPU threads targeting the same PIM core share one combiner
+// lock. A requester first tries the lock: if it wins, it ships its own
+// request at index 0 plus up to kMaxCombine - 1 published ones, with no
+// queue push or pop of its own. Only when the lock is busy does it publish
+// its request into the shared queue; whoever holds the combiner role then
+// gathers up to kMaxCombine published requests into one fat Message and
+// ships the whole batch across the crossbar as ONE message — the
+// batch-per-crossing shape. The PIM core serves every entry and publishes
+// each requester's response slot with one shared ready_ns: the batch's
+// single fat response message.
 //
 // The batch travels zero-copy inside the Message itself (runtime/
 // message.hpp): up to kMessageInlineFat entries ride inline (SBO), larger
@@ -19,10 +22,10 @@
 // no per-op heap allocation. Each entry carries its requester's req_id, so
 // combined ops keep their trace correlation.
 //
-// A requester whose record was picked up by another thread's flush just
-// waits on its own slot; a requester left behind (batch filled up) keeps
-// competing for the combiner role until its record has been shipped, so no
-// request can be stranded.
+// A requester whose published record was picked up by another thread's
+// flush just waits on its own slot; a requester left behind (batch filled
+// up) keeps trying the lock until its record has been shipped, so no
+// published request can be stranded.
 #pragma once
 
 #include <atomic>
@@ -53,20 +56,25 @@ class RequestCombiner {
   RequestCombiner(const RequestCombiner&) = delete;
   RequestCombiner& operator=(const RequestCombiner&) = delete;
 
-  /// Publish `entry` and return once it has been shipped in some batch
-  /// (ours or another thread's). The caller then awaits its response slot.
-  /// `send` receives a Message whose fat payload holds the batch; it must
-  /// set the opcode and transmit it (payload ownership moves with it — the
-  /// receiver releases any spill via release_fat_payload).
+  /// Return once `entry` has been shipped in some batch (ours or another
+  /// thread's). The caller then awaits its response slot. `send` receives
+  /// a Message whose fat payload holds the batch; it must set the opcode
+  /// and transmit it (payload ownership moves with it — the receiver
+  /// releases any spill via release_fat_payload).
   template <typename SendFn>
   void submit(const Entry& entry, SendFn&& send) {
     Record rec{};
     rec.entry = entry;
+    if (try_lock()) {  // fast path: lead with our own record, publish nothing
+      flush(send, &rec);
+      unlock();
+      return;
+    }
     queue_.push(&rec);
     SpinWait spin;
     while (!rec.shipped.value.load(std::memory_order_acquire)) {
       if (try_lock()) {
-        flush(send);
+        flush(send, nullptr);
         unlock();
         spin.reset();
       } else {
@@ -97,10 +105,13 @@ class RequestCombiner {
   }
   void unlock() noexcept { lock_.value.store(false, std::memory_order_release); }
 
+  /// Ship the lock holder's own record (if `own`) at index 0, then
+  /// published records up to kMaxCombine in all.
   template <typename SendFn>
-  void flush(SendFn&& send) {
+  void flush(SendFn&& send, Record* own) {
     Record* picked[kMaxCombine];
     std::uint32_t n = 0;
+    if (own != nullptr) picked[n++] = own;
     while (n < kMaxCombine) {
       std::optional<Record*> r = queue_.try_pop();
       if (!r) break;

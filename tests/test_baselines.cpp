@@ -327,7 +327,8 @@ TEST(CombineInPlace, EveryRequestExecutedExactlyOnce) {
   // combining pass serves exactly one request, making max_batch >= 2 a
   // bet on scheduling. Force one multi-request batch deterministically: the
   // first combiner stalls inside serve() until two other threads are inside
-  // combine_in_place() (each publishes its record on entry), so the next
+  // combine_in_place(). A thread publishes its record only when the lock is
+  // busy, and the stalled leader holds it, so both publish, and the next
   // leader's pass must pick up a batch of at least two.
   std::atomic<int> inflight{0};
   std::atomic<bool> stalled{false};

@@ -1,11 +1,13 @@
 // Tests for the extension features beyond the paper's core: the
-// auto-rebalancing policy, runtime fat-node enqueue combining, the
-// simulated Michael-Scott queue, and the VaultIndex migration helpers.
+// auto-rebalancing policy, runtime fat-node combining (queue enqueues and
+// skip-list ops), the simulated Michael-Scott queue, and the VaultIndex
+// migration helpers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/zipf.hpp"
@@ -14,6 +16,7 @@
 #include "core/pim_skiplist.hpp"
 #include "core/vault_index.hpp"
 #include "obs/metrics.hpp"
+#include "runtime/fat_arena.hpp"
 #include "sim/ds/queues.hpp"
 
 namespace pimds {
@@ -169,66 +172,71 @@ TEST(AutoRebalancer, StaysQuietUnderUniformLoad) {
       << "uniform load must not trigger migrations";
 }
 
-TEST(AutoRebalancer, AdaptiveCombiningEngagesOnAHotRange) {
-  // Contention-adaptive switching (per key range) between direct sends and
-  // CPU-side combining: a range whose window share crosses
-  // combine_enter_share must flip to combining, ops must start traveling
-  // as fat kOpBatch messages, and results must stay correct.
-  runtime::PimSystem::Config config;
-  config.num_vaults = 4;
-  runtime::PimSystem system(config);
-  core::PimSkipList::Options options;
-  options.key_max = 1 << 16;
-  core::PimSkipList list(system, options);
-  core::AutoRebalancer::Options rb_options;
-  rb_options.period = std::chrono::milliseconds(10);
-  rb_options.trigger.max_migrations = 0;  // isolate combining from migrations
-  rb_options.adaptive_combining = true;
-  rb_options.combine_enter_share = 0.30;
-  rb_options.combine_exit_share = 0.10;
-  rb_options.trigger.min_window_ops = 50;
-  rb_options.log_decisions = false;
-  core::AutoRebalancer rebalancer(list, rb_options);
-  system.start();
-  rebalancer.start();
-
-  // All traffic lands in one LoadMap range (share ~1.0 >> enter share).
-  const obs::LoadMap& lm = list.loadmap();
-  const std::uint64_t hot_lo = lm.range_lo(5);
-  const std::uint64_t hot_hi = lm.range_hi(5);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> workers;
-  std::atomic<std::uint64_t> adds_ok{0};
-  std::atomic<std::uint64_t> removes_ok{0};
-  for (int t = 0; t < 2; ++t) {
-    workers.emplace_back([&, t] {
-      Xoshiro256 rng(40 + static_cast<std::uint64_t>(t));
-      while (!stop.load(std::memory_order_relaxed)) {
-        const std::uint64_t key = rng.next_in(hot_lo + 1, hot_hi);
-        if (rng.next() % 2) {
-          adds_ok.fetch_add(list.add(key), std::memory_order_relaxed);
-        } else {
-          removes_ok.fetch_add(list.remove(key), std::memory_order_relaxed);
+TEST(RuntimeFatNodes, SkipListOpsAllRideTheVaultCombiner) {
+  // Every skip-list op travels in a fat kOpBatch through its vault's
+  // RequestCombiner. Four threads on one vault's range: every op issued is
+  // counted as combined, each applies exactly once, and a batch larger
+  // than the message's inline payload forms, whose FatArena spill the
+  // vault must release. Whether three requests meet one flush is up to the
+  // scheduler, so the round repeats on a fresh list, each checked, until a
+  // spill forms, up to a fixed cap.
+  ASSERT_TRUE(obs::metrics_enabled()) << "spills are counted by the registry";
+  const obs::Counter& spills =
+      obs::Registry::instance().counter("runtime.fat_arena.acquires");
+  constexpr int kMaxRounds = 50;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kOpsPerThread = 2000;
+  bool spilled = false;
+  for (int round = 0; round < kMaxRounds && !spilled; ++round) {
+    const std::uint64_t spills_before = spills.value();
+    const std::uint64_t outstanding_before =
+        runtime::FatArena::instance().outstanding();
+    runtime::PimSystem::Config config;
+    config.num_vaults = 4;
+    runtime::PimSystem system(config);
+    core::PimSkipList::Options options;
+    options.key_max = 1 << 16;
+    core::PimSkipList list(system, options);
+    system.start();
+    const std::uint64_t hot_lo = list.partitions()[1].sentinel;
+    constexpr std::uint64_t kHotKeys = 256;  // dense: adds and removes hit
+    ASSERT_EQ(list.directory().route(hot_lo), 1u);
+    ASSERT_EQ(list.directory().route(hot_lo + kHotKeys - 1), 1u);
+    std::atomic<std::uint64_t> adds_ok{0};
+    std::atomic<std::uint64_t> removes_ok{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        Xoshiro256 rng(40 + static_cast<std::uint64_t>(round * kThreads + t));
+        for (std::uint64_t i = 0; i < kOpsPerThread; ++i) {
+          const std::uint64_t key = hot_lo + rng.next_below(kHotKeys);
+          switch (rng.next_below(3)) {
+            case 0:
+              adds_ok.fetch_add(list.add(key), std::memory_order_relaxed);
+              break;
+            case 1:
+              removes_ok.fetch_add(list.remove(key),
+                                   std::memory_order_relaxed);
+              break;
+            default:
+              list.contains(key);
+          }
         }
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  stop.store(true);
-  for (auto& w : workers) w.join();
-  const bool was_combining = list.range_combining(hot_lo + 1);
-  rebalancer.stop();
-  system.stop();
+      });
+    }
+    for (auto& w : workers) w.join();
+    system.stop();
 
-  EXPECT_TRUE(was_combining)
-      << "a range carrying ~100% of the window must flip to combining";
-  EXPECT_GT(list.combined_batches(), 0u) << "no fat batch ever shipped";
-  EXPECT_GE(list.combined_ops(), list.combined_batches())
-      << "batches must carry at least one op each";
-  EXPECT_EQ(rebalancer.migrations_triggered(), 0u)
-      << "max_migrations = 0 must hold migrations back";
-  EXPECT_EQ(list.size(), adds_ok.load() - removes_ok.load())
-      << "combined ops must apply exactly once";
+    EXPECT_EQ(list.combined_ops(), kThreads * kOpsPerThread)
+        << "round " << round << ": every op must ride the combiner";
+    EXPECT_EQ(list.size(), adds_ok.load() - removes_ok.load())
+        << "round " << round << ": combined ops must apply exactly once";
+    EXPECT_EQ(runtime::FatArena::instance().outstanding(), outstanding_before)
+        << "round " << round << ": a spilled batch was not released";
+    spilled = spills.value() > spills_before;
+  }
+  EXPECT_TRUE(spilled) << "4 threads on one vault never formed a batch of "
+                       << runtime::kMessageInlineFat + 1;
 }
 
 TEST(RuntimeFatNodes, QueueStaysFifoWithEnqueueCombining) {

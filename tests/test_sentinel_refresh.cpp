@@ -185,10 +185,10 @@ TEST(SentinelRefresh, OperationsStayLinearizableAcrossFastMigrations) {
 TEST(SentinelRefresh, LinearizableUnderActiveRebalancerWithCombining) {
   // The closed loop end to end on real threads: no scripted migrate()
   // calls — an ACTIVE AutoRebalancer watches the LoadMap and drives the
-  // Section 4.2.1 protocol itself, with contention-adaptive combining
-  // flipping the hot ranges to CPU-side batched sends mid-run. Every
-  // client operation is recorded and the merged history must linearize
-  // across policy-chosen hand-overs and combined batches alike.
+  // Section 4.2.1 protocol itself, while every op rides its vault's
+  // RequestCombiner as a fat batch. Every client operation is recorded and
+  // the merged history must linearize across policy-chosen hand-overs and
+  // combined batches alike.
   MigrationRig rig(/*migrate_chunk=*/8);
   constexpr std::uint64_t kLo = 500;
   constexpr std::uint64_t kRange = 64;  // dense keys -> real contention
@@ -205,9 +205,6 @@ TEST(SentinelRefresh, LinearizableUnderActiveRebalancerWithCombining) {
   ropts.imbalance_exit = 1.2;
   ropts.trigger.cooldown_periods = 1;
   ropts.trigger.min_window_ops = 50;
-  ropts.adaptive_combining = true;
-  ropts.combine_enter_share = 0.30;
-  ropts.combine_exit_share = 0.05;
   ropts.log_decisions = false;  // keep ctest output quiet
   AutoRebalancer rebalancer(*rig.list, ropts);
   rebalancer.start();
@@ -218,8 +215,7 @@ TEST(SentinelRefresh, LinearizableUnderActiveRebalancerWithCombining) {
       check::ThreadLog& log = recorder.log(static_cast<std::size_t>(t));
       Xoshiro256 rng(0xbee5 + static_cast<std::uint64_t>(t));
       // Zipf within the racing window: a dominant top key steers the
-      // policy's successor-split rule, and the window's LoadMap ranges
-      // cross the combining enter share.
+      // policy's successor-split rule.
       ZipfGenerator zipf(kRange, 0.99);
       for (std::uint64_t i = 0; i < 800; ++i) {
         const std::uint64_t key = kLo + zipf.next(rng);
