@@ -1,7 +1,7 @@
-// Ablation A3 (DESIGN.md): the three design knobs of the PIM FIFO queue —
+// Ablation A3 (DESIGN.md): the design knobs of the PIM FIFO queue —
 // response pipelining (Figure 6), segment threshold (incl. the
-// single-segment "short queue" regime), and segment placement policy (the
-// round-robin role-collision pathology vs the antipodal fix).
+// single-segment "short queue" regime), and Section 5.1's fat-node enqueue
+// combining.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
@@ -63,40 +63,6 @@ int main(int argc, char** argv) {
     std::printf("(paper: the single-segment 'short queue' regime halves "
                 "throughput: model %.2f Mops/s)\n",
                 2 * model::pim_queue_single_segment(lp) * 1e-6);
-  }
-
-  banner("Ablation A3c: segment placement policy");
-  {
-    Table table({"placement", "Mops/s", "co-resident ops"}, 20);
-    table.print_header();
-    const auto run = [&](const char* name, bool antipodal,
-                         std::size_t initial) {
-      sim::QueueConfig c = cfg;
-      c.initial_nodes = initial;
-      PimQueueOptions opts;
-      opts.antipodal_placement = antipodal;
-      const auto r = sim::run_pim_queue(c, opts);
-      table.print_row({name, mops(r.run.ops_per_sec()),
-                       std::to_string(r.co_resident_ops)});
-      json.record(name, {{"placement", name}}, r.run.ops_per_sec());
-    };
-    // Exact-multiple prefill puts both roles on one core at t=0: the
-    // round-robin policy never separates them again.
-    run("round-robin", false, 64 * 1024);
-    run("opposite-deq-core", true, 64 * 1024);
-  }
-
-  banner("Ablation A3e: FC queue lock split (paper's two-lock modification)");
-  {
-    Table table({"FC variant", "Mops/s"}, 20);
-    table.print_header();
-    table.print_row({"one combiner lock",
-                     mops(sim::run_fc_queue(cfg, /*single_lock=*/true)
-                              .ops_per_sec())});
-    table.print_row({"two combiner locks",
-                     mops(sim::run_fc_queue(cfg).ops_per_sec())});
-    std::printf("(the paper modified the FC queue so 'threads compete for "
-                "two combiner locks' — this shows the ~2x that buys)\n");
   }
 
   banner("Ablation A3d: fat-node enqueue combining (Section 5.1)");

@@ -4,24 +4,18 @@
 // including the Section 1 claim that at r1 = 2 the naive PIM list still
 // loses to a fine-grained-lock list on 3 CPU threads, while the combining
 // PIM list already wins.
-//
-// It also includes the "realism" variants the paper's model deliberately
-// ignores: charging CAS costs in the lock-free skip-list and node accesses
-// in the F&A/FC queues (both make the CPU baselines slightly worse, which
-// is the direction the paper states).
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
 #include "sim/ds/linked_lists.hpp"
 #include "sim/ds/queues.hpp"
-#include "sim/ds/skiplists.hpp"
 
 int main(int argc, char** argv) {
   using namespace pimds;
   using namespace pimds::bench;
 
   JsonReporter json(argc, argv, "ablation_r1_sensitivity");
-  banner("Ablation A4a: r1 sweep — who wins at what PIM speed?");
+  banner("Ablation A4: r1 sweep — who wins at what PIM speed?");
   {
     Table table({"r1", "fine-grained", "PIM no-comb", "PIM comb",
                  "PIM queue", "F&A queue"},
@@ -65,38 +59,6 @@ int main(int argc, char** argv) {
         " PIM list loses to 8 fine-grained threads; with combining the PIM\n"
         " list wins from r1 >= 2 — Section 4.1's central point. The PIM\n"
         " queue beats F&A once r1 > 1, per the r1*r3 > 1 crossover.)\n");
-  }
-
-  banner("Ablation A4b: paper-ignored costs, charged");
-  {
-    sim::SkipListConfig scfg;
-    scfg.num_cpus = 16;
-    scfg.key_range = 1 << 15;
-    scfg.initial_size = 1 << 14;
-    scfg.duration_ns = 15'000'000;
-    const double lf_paper = sim::run_lockfree_skiplist(scfg).ops_per_sec();
-    scfg.charge_cas = true;
-    const double lf_real = sim::run_lockfree_skiplist(scfg).ops_per_sec();
-    std::printf("lock-free skip-list: %s Mops/s (Table 2 accounting) vs "
-                "%s Mops/s (CAS charged)\n",
-                mops(lf_paper).c_str(), mops(lf_real).c_str());
-
-    sim::QueueConfig qcfg;
-    qcfg.enqueuers = qcfg.dequeuers = 12;
-    qcfg.duration_ns = 10'000'000;
-    const double faa_paper = sim::run_faa_queue(qcfg).ops_per_sec();
-    const double fc_paper = sim::run_fc_queue(qcfg).ops_per_sec();
-    qcfg.charge_node_access = true;
-    const double faa_real = sim::run_faa_queue(qcfg).ops_per_sec();
-    const double fc_real = sim::run_fc_queue(qcfg).ops_per_sec();
-    std::printf("F&A queue: %s vs %s with node accesses charged\n",
-                mops(faa_paper).c_str(), mops(faa_real).c_str());
-    std::printf("FC queue:  %s vs %s with node accesses charged\n",
-                mops(fc_paper).c_str(), mops(fc_real).c_str());
-    std::printf(
-        "(the paper: 'their actual performance could be even worse than\n"
-        " what we show' — charging the ignored costs only widens the PIM\n"
-        " queue's lead)\n");
   }
   return 0;
 }

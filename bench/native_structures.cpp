@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
     }
     {
       runtime::PimSystem system(config);
-      core::PimFifoQueue queue(system, {1024, true});
+      core::PimFifoQueue queue(system);
       system.start();
       for (int i = 0; i < 4096; ++i) queue.enqueue(i);
       const double tput = measure(2, [&](int t, Xoshiro256&) {

@@ -32,7 +32,7 @@ int main() {
   core::PimSkipList::Options skip_options;
   skip_options.key_max = 1 << 20;
   core::PimSkipList index(system, skip_options);
-  core::PimFifoQueue queue(queue_config_system, {1024, true});
+  core::PimFifoQueue queue(queue_config_system);
 
   system.start();
   queue_config_system.start();

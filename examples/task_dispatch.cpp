@@ -24,7 +24,7 @@ int main() {
   runtime::PimSystem::Config config;
   config.num_vaults = 4;
   runtime::PimSystem system(config);
-  core::PimFifoQueue queue(system, {256, true});
+  core::PimFifoQueue queue(system, {.segment_threshold = 256});
   system.start();
 
   std::printf("dispatching %llu tasks from %d producers to %d consumers "

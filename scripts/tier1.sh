@@ -107,6 +107,21 @@ stage_sim_rows() {
 }
 run_stage "sim rows" stage_sim_rows
 
+stage_bench_smoke() {
+  echo "== tier-1: bench smoke (ungated simulator benches run and validate) =="
+  # These benches feed no perf_gate policy, so nothing else would notice
+  # one that crashes or writes a malformed pimds.bench file.
+  smoke_dir="$(mktemp -d)"
+  for bench in fig2_linked_lists ablation_combining ablation_partitions \
+      ablation_pipelining ablation_r1_sensitivity; do
+    "./build/bench/$bench" --json "$smoke_dir/$bench.json" > /dev/null
+    python3 scripts/trace_report.py --check-bench "$smoke_dir/$bench.json"
+  done
+  rm -rf "$smoke_dir"
+  echo "bench-smoke: OK"
+}
+run_stage "bench smoke" stage_bench_smoke
+
 stage_active_rebalance() {
   echo "== tier-1: active-rebalance smoke (closed loop must settle) =="
   # The INVERTED assertion: the real-thread ablation with --active lets the

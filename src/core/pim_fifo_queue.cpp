@@ -73,10 +73,10 @@ PimFifoQueue::PimFifoQueue(runtime::PimSystem& system)
 
 PimFifoQueue::PimFifoQueue(runtime::PimSystem& system, Options options)
     : system_(system), options_(options) {
-  const Vault::Config config{system_.num_vaults(), options_.segment_threshold,
-                             options_.antipodal_placement,
-                             options_.enqueue_combining,
-                             options_.fat_node_capacity};
+  const Vault::Config config{
+      .num_vaults = system_.num_vaults(),
+      .segment_threshold = options_.segment_threshold,
+      .enqueue_combining = options_.enqueue_combining};
   for (std::size_t v = 0; v < system_.num_vaults(); ++v) {
     vaults_.push_back(std::make_unique<Vault>(config, qmetrics()));
   }

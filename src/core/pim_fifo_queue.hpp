@@ -40,17 +40,12 @@ class PimFifoQueue {
   struct Options {
     /// Segment length threshold (Algorithm 1 line 13).
     std::uint64_t segment_threshold = 1024;
-    /// Segment placement: antipodal to the dequeue core (round-robin can
-    /// serialize the two roles onto one core; see QueueVault::Config). Set
-    /// false for strict round-robin.
-    bool antipodal_placement = true;
     /// Section 5.1's further optimization (default on): the vault packs
-    /// the enqueues of a drained batch into fat nodes of fat_node_capacity
-    /// values, charging one local access per fat node written and, on the
-    /// dequeue side, per fat node read under latency injection. Off: one
-    /// access per value.
+    /// the enqueues of a drained batch into fat nodes of
+    /// QueueVault::kFatNodeCapacity values, charging one local access per
+    /// fat node written and, on the dequeue side, per fat node read under
+    /// latency injection. Off: one access per value.
     bool enqueue_combining = true;
-    std::size_t fat_node_capacity = 8;
     /// CPU-side request combining: co-located waiting requests ride one
     /// crossbar message (off = one message per request, the seed path).
     bool cpu_combining = true;

@@ -4,10 +4,16 @@
 // travel along the chain: the ENQUEUE segment accepts new nodes and the
 // DEQUEUE segment surrenders them, so with the roles on different vaults two
 // PIM cores serve enqueues and dequeues in parallel. A segment past the
-// threshold hands the enqueue role to another core (newEnqSeg); a drained
-// dequeue segment hands the dequeue role to the core holding the next
-// segment (newDeqSeg). A request reaching a core that no longer holds its
-// role is rejected, and the CPU retries against the role directory.
+// threshold hands the enqueue role to the core opposite the dequeue core,
+// (deq + k/2) mod k (newEnqSeg); a drained dequeue segment hands the
+// dequeue role to the core holding the next segment (newDeqSeg). A request
+// reaching a core that no longer holds its role is rejected, and the CPU
+// retries against the role directory.
+//
+// The opposite-core rule keeps the two roles apart at k = 4, 5, 6 and 8
+// vaults in the Section 5.2 runs (0 ops served by a core holding both),
+// but not at every k: at k = 2 and 3 the roles still meet for tens of
+// thousands of ops, and at k = 7 for about a thousand (DESIGN §5i).
 //
 // QueueVault is one vault's share of the protocol, run by both the runtime
 // queue (core::PimFifoQueue) and the simulator (sim::run_pim_queue). Each
@@ -21,7 +27,7 @@
 // message with end_message(), applies core-to-core messages with signal(),
 // and ends with serve(). With enqueue_combining (Section 5.1's fat nodes)
 // the whole pass is gathered, and its n enqueues are packed into
-// ceil(n / fat_node_capacity) fat nodes, one access each. A dequeue batch
+// ceil(n / kFatNodeCapacity) fat nodes, one access each. A dequeue batch
 // costs one access per fat node it reads from, so dequeued values are as
 // cheap as the enqueue groups that packed them, and each fat node's values
 // are answered as soon as it is read. Without combining each message is
@@ -112,13 +118,11 @@ class alignas(kCacheLineSize) QueueVault {
   struct Config {
     std::size_t num_vaults = 1;
     std::uint64_t segment_threshold = 1024;  ///< Algorithm 1 line 13
-    /// New enqueue segments go opposite the dequeue core ((deq + k/2) mod
-    /// k), not to the next core: round-robin can settle both roles on one
-    /// core, which then serializes them.
-    bool antipodal_placement = true;
     bool enqueue_combining = true;  ///< Section 5.1 fat nodes
-    std::size_t fat_node_capacity = 8;
   };
+
+  /// Values per fat node: one cache-line array of 8-byte values.
+  static constexpr std::size_t kFatNodeCapacity = 8;
 
   struct Node {
     std::uint64_t value;
@@ -214,9 +218,9 @@ class alignas(kCacheLineSize) QueueVault {
     // No enqueue role (stale routing): reject the batch.
     replies_.assign(n, QueueReply{seg != nullptr, false, 0});
     if (seg != nullptr) {
-      // Each group starts a fat node, split every fat_node_capacity values.
+      // Each group starts a fat node, split every kFatNodeCapacity values.
       const std::size_t capacity =
-          config_.enqueue_combining ? config_.fat_node_capacity : 1;
+          config_.enqueue_combining ? kFatNodeCapacity : 1;
       ctx.charge((n + capacity - 1) / capacity);
       for (std::size_t i = 0; i < n; ++i) {
         append(ctx, *seg, enq_values_[i], i % capacity == 0);
@@ -347,14 +351,13 @@ class alignas(kCacheLineSize) QueueVault {
     ctx.publish_deq_role();
   }
 
+  /// Opposite the dequeue core. For k >= 2, k/2 lies in [1, k), so the
+  /// new segment never lands on the dequeue core itself.
   template <typename Ctx>
   std::size_t next_enq_core(const Ctx& ctx) const {
     const std::size_t k = config_.num_vaults;
     if (k == 1) return 0;
-    if (!config_.antipodal_placement) return (ctx.self() + 1) % k;
-    const std::size_t deq = ctx.deq_role_owner();
-    const std::size_t next = (deq + k / 2) % k;
-    return next == deq ? (next + 1) % k : next;
+    return (ctx.deq_role_owner() + k / 2) % k;
   }
 
   template <typename Ctx>

@@ -16,7 +16,7 @@
 //    after it sourced a migration its windows still mix pre-migration
 //    traffic, and re-triggering on them is how a rebalancer thrashes;
 //  - no migration in flight (the Section 4.2.1 one-at-a-time guard, polled,
-//    never queued against) and fewer than `max_migrations` so far;
+//    never queued against);
 //  - a split key (suggest_split) that leaves a non-empty prefix of its
 //    partition on the hot vault: moving a whole partition relocates the hot
 //    spot instead of dividing it.
@@ -46,8 +46,6 @@ struct RebalanceOptions {
   std::size_t cooldown_periods = 2;
   /// Windows with fewer total ops are noise, never judged.
   std::uint64_t min_window_ops = 100;
-  /// Safety valve for tests and demos.
-  std::size_t max_migrations = ~std::size_t{0};
 };
 
 /// Migrate [split, end of split's partition) from `source` to `target`.
@@ -92,9 +90,7 @@ class RebalanceStep {
          cooldown_[rep.hottest] > 0)) {
       return std::nullopt;
     }
-    if (migration_busy || migrations_ >= options_.max_migrations) {
-      return std::nullopt;
-    }
+    if (migration_busy) return std::nullopt;
     const auto split = suggest_split(rep, rep.hottest, dir, key_max, fault_);
     if (!split) return std::nullopt;
     return RebalanceMove{*split, rep.hottest, rep.coldest};

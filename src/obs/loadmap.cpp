@@ -8,13 +8,10 @@ namespace pimds::obs {
 LoadMap::LoadMap(Options opts) : opts_(std::move(opts)) {
   if (opts_.num_vaults == 0) opts_.num_vaults = 1;
   if (opts_.num_ranges == 0) opts_.num_ranges = 1;
-  if (opts_.sketch_entries == 0) opts_.sketch_entries = 1;
   if (opts_.key_max <= opts_.key_min) opts_.key_max = opts_.key_min + 1;
   shards_.reserve(opts_.num_vaults);
   for (std::size_t v = 0; v < opts_.num_vaults; ++v) {
-    auto shard = std::make_unique<Shard>();
-    shard->sketch = std::make_unique<SketchEntry[]>(opts_.sketch_entries);
-    shards_.push_back(std::move(shard));
+    shards_.push_back(std::make_unique<Shard>());
   }
   ranges_ = std::make_unique<CachePadded<std::atomic<std::uint64_t>>[]>(
       opts_.num_vaults * opts_.num_ranges);
@@ -45,15 +42,15 @@ std::uint64_t LoadMap::range_hi(std::size_t idx) const noexcept {
 }
 
 void LoadMap::sketch_update(Shard& s, std::uint64_t key) noexcept {
-  // SpaceSaving (Metwally et al.): track the `sketch_entries` heaviest keys;
+  // SpaceSaving (Metwally et al.): track the kSketchEntries heaviest keys;
   // a new key evicts the current minimum and inherits its count + 1 (the
   // classic over-estimate). Single writer per vault, so plain load/store
   // on the atomic cells is enough — atomics only make concurrent *readers*
   // well-defined.
-  SketchEntry* entries = s.sketch.get();
+  auto& entries = s.sketch;
   std::size_t min_idx = 0;
   std::uint64_t min_count = ~std::uint64_t{0};
-  for (std::size_t i = 0; i < opts_.sketch_entries; ++i) {
+  for (std::size_t i = 0; i < kSketchEntries; ++i) {
     const std::uint64_t c = entries[i].count.load(std::memory_order_relaxed);
     if (c != 0 && entries[i].key.load(std::memory_order_relaxed) == key) {
       entries[i].count.store(c + 1, std::memory_order_relaxed);
@@ -110,12 +107,10 @@ LoadMap::HotVaultReport LoadMap::report() {
 
   // The hottest vault's sketch (cumulative counts; SpaceSaving does not
   // support windowed subtraction).
-  const Shard& s = *shards_[rep.hottest];
-  for (std::size_t i = 0; i < opts_.sketch_entries; ++i) {
-    const std::uint64_t c = s.sketch[i].count.load(std::memory_order_relaxed);
+  for (const SketchEntry& e : shards_[rep.hottest]->sketch) {
+    const std::uint64_t c = e.count.load(std::memory_order_relaxed);
     if (c > 0) {
-      rep.hot_keys.push_back(
-          {s.sketch[i].key.load(std::memory_order_relaxed), c});
+      rep.hot_keys.push_back({e.key.load(std::memory_order_relaxed), c});
     }
   }
   std::stable_sort(rep.hot_keys.begin(), rep.hot_keys.end(),

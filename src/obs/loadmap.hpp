@@ -28,6 +28,7 @@
 // range the window touched and the hottest vault's hot keys.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -49,12 +50,13 @@ class LoadMap {
     std::uint64_t key_max = ~std::uint64_t{0};
     /// Fixed key-range buckets across [key_min, key_max].
     std::size_t num_ranges = 64;
-    /// SpaceSaving slots per vault (top hot keys tracked).
-    std::size_t sketch_entries = 8;
     /// Registry prefix for the per-vault op counters ("<prefix>.vault<k>.ops");
     /// empty disables registration (pure in-memory use, e.g. unit tests).
     std::string registry_prefix = "loadmap";
   };
+
+  /// SpaceSaving slots per vault (top hot keys tracked).
+  static constexpr std::size_t kSketchEntries = 8;
 
   struct RangeLoad {
     std::uint64_t lo = 0;  // inclusive
@@ -137,7 +139,7 @@ class LoadMap {
   /// Heap-allocated (unique_ptr) so vector storage never moves shards.
   struct Shard {
     Counter ops;
-    std::unique_ptr<SketchEntry[]> sketch;
+    std::array<SketchEntry, kSketchEntries> sketch;
   };
 
   void sketch_update(Shard& s, std::uint64_t key) noexcept;

@@ -11,9 +11,14 @@
 
 namespace pimds::runtime {
 
+namespace {
+/// Messages per mailbox lane (and per overflow ring).
+constexpr std::size_t kMailboxCapacity = 4096;
+}  // namespace
+
 PimSystem::Core::Core(std::size_t id, const Config& config)
     : vault(std::make_unique<Vault>(id, config.vault_bytes)),
-      mailbox(config.mailbox_capacity) {
+      mailbox(kMailboxCapacity) {
   const std::string prefix = "runtime.vault" + std::to_string(id);
   auto& registry = obs::Registry::instance();
   messages = &registry.counter(prefix + ".messages");

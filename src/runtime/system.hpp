@@ -80,7 +80,6 @@ class PimSystem {
     /// Default vault arena: 32 MB (the HMC 1.0 spec puts ~100 MB per vault;
     /// scaled down so tests stay lightweight).
     std::size_t vault_bytes = 32ull << 20;
-    std::size_t mailbox_capacity = 4096;
     LatencyParams params = LatencyParams::paper_defaults();
     /// Emulate the Section 3 latencies with calibrated spin waits. Off by
     /// default: functional runs measure real hardware.

@@ -35,7 +35,6 @@ RunResult run_faa_queue(const QueueConfig& cfg) {
                 : ctx.rng().next();
         if (log != nullptr) log->begin(check::kEnq, value, issued);
         enq_line.atomic_rmw(ctx);  // claim a slot with F&A (serialized)
-        if (cfg.charge_node_access) ctx.charge(MemClass::kCpuDram);
         items.push_back(value);
         if (log != nullptr) log->end(check::kRetTrue, ctx.now());
         if (cfg.latency_sink_ns != nullptr) {
@@ -61,7 +60,6 @@ RunResult run_faa_queue(const QueueConfig& cfg) {
         const Time issued = ctx.now();
         if (log != nullptr) log->begin(check::kDeq, 0, issued);
         deq_line.atomic_rmw(ctx);
-        if (cfg.charge_node_access) ctx.charge(MemClass::kCpuDram);
         std::uint64_t out = check::kRetEmpty;
         if (!items.empty()) {
           out = items.front();

@@ -8,7 +8,7 @@
 
 namespace pimds::sim {
 
-RunResult run_fc_queue(const QueueConfig& cfg, bool single_lock) {
+RunResult run_fc_queue(const QueueConfig& cfg) {
   Engine engine(cfg.params, cfg.seed);
   engine.set_perturbation(cfg.perturb);
 
@@ -16,9 +16,8 @@ RunResult run_fc_queue(const QueueConfig& cfg, bool single_lock) {
   for (std::size_t i = 0; i < cfg.initial_nodes; ++i) items.push_back(i);
 
   // Section 5.2 cost accounting: one LLC access to compete for the combiner
-  // lock, two LLC accesses per served publication slot. The two-lock queue
-  // has one combiner per role; the original single_lock flat combining
-  // sends both roles to the enqueue combiner.
+  // lock, two LLC accesses per served publication slot; one combiner per
+  // role.
   struct Req {
     bool is_enq;
     std::uint64_t value;
@@ -28,10 +27,8 @@ RunResult run_fc_queue(const QueueConfig& cfg, bool single_lock) {
                                    /*charge_slot_llc=*/true};
   Combiner enq_fc(costs);
   Combiner deq_fc(costs);
-  Combiner& deq_role_fc = single_lock ? enq_fc : deq_fc;
   const auto serve = [&](Context& cctx, std::vector<Combiner::Pending>& batch) {
     for (auto& p : batch) {
-      if (cfg.charge_node_access) cctx.charge(MemClass::kCpuDram);
       std::optional<std::uint64_t> out;
       if (p.request.is_enq) {
         items.push_back(p.request.value);
@@ -48,7 +45,7 @@ RunResult run_fc_queue(const QueueConfig& cfg, bool single_lock) {
     engine.spawn(std::move(name), [&, is_enq, slot](Context& ctx) {
       check::ThreadLog* log =
           cfg.recorder != nullptr ? &cfg.recorder->log(slot) : nullptr;
-      Combiner& fc = is_enq ? enq_fc : deq_role_fc;
+      Combiner& fc = is_enq ? enq_fc : deq_fc;
       ArrivalPacer pacer(cfg, ctx);
       std::uint64_t ops = 0;
       while (ctx.now() < cfg.duration_ns) {

@@ -29,12 +29,6 @@ RunResult run_lockfree_skiplist(const SkipListConfig& cfg) {
         if (log != nullptr) {
           log->end(effect ? check::kRetTrue : check::kRetFalse, ctx.now());
         }
-        if (cfg.charge_cas && effect && op != SetOp::kContains) {
-          // Herlihy-Shavit add/remove CAS node pointers; contention is low
-          // (distinct nodes), so charge the RMW latency without a shared
-          // serialization point.
-          ctx.charge(MemClass::kAtomic);
-        }
         ++ops;
       }
       total_ops += ops;

@@ -32,7 +32,6 @@ RunResult run_ms_queue(const QueueConfig& cfg) {
                 ? ((static_cast<std::uint64_t>(i) + 1) << 48) | ops
                 : ctx.rng().next();
         if (log != nullptr) log->begin(check::kEnq, value, ctx.now());
-        if (cfg.charge_node_access) ctx.charge(MemClass::kCpuDram);
         for (;;) {
           // Read the tail, then try to CAS the new node in; a failed CAS
           // means another enqueuer won the line since our read.
@@ -59,7 +58,6 @@ RunResult run_ms_queue(const QueueConfig& cfg) {
         for (;;) {
           const SimCasLine::ReadToken seen = head_line.read(ctx);
           ctx.charge(MemClass::kLlc);
-          if (cfg.charge_node_access) ctx.charge(MemClass::kCpuDram);
           if (head_line.compare_and_swap(ctx, seen)) break;
         }
         std::uint64_t out = check::kRetEmpty;

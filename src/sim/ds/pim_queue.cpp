@@ -163,8 +163,9 @@ PimQueueResult run(const QueueConfig& cfg, const PimQueueOptions& opts) {
   using Ctx = SimVaultCtx<Fault>;
   Queue q{opts, msg_ns, {}};
   const typename Queue::Handler::Config config{
-      k, opts.segment_threshold, opts.antipodal_placement,
-      opts.enqueue_combining, opts.fat_node_capacity};
+      .num_vaults = k,
+      .segment_threshold = opts.segment_threshold,
+      .enqueue_combining = opts.enqueue_combining};
   for (std::size_t v = 0; v < k; ++v) {
     q.vaults.push_back(std::make_unique<typename Queue::Vault>(config, metrics));
   }

@@ -7,10 +7,16 @@
 //   - Flat-combining queue [25] with two combiner locks (one for enqueues,
 //     one for dequeues, as in Section 5.2's setup): bounded by 1/(2 Lllc).
 //   - PIM-managed queue (Algorithm 1): per-vault segments, distinct enqueue
-//     and dequeue segments served by different PIM cores, segment hand-off
-//     via newEnqSeg/newDeqSeg messages, CPU retry on rejection, and
-//     response pipelining; per-side throughput approaches 1/Lpim. Its
-//     vault side is core::QueueVault, the handler the runtime queue runs.
+//     and dequeue segments served by different PIM cores (each new enqueue
+//     segment opposite the dequeue core), segment hand-off via
+//     newEnqSeg/newDeqSeg messages, CPU retry on rejection, and response
+//     pipelining; per-side throughput approaches 1/Lpim. Its vault side is
+//     core::QueueVault, the handler the runtime queue runs.
+//
+// Like the paper's analysis, the CPU queues charge only their
+// synchronization (the F&A or CAS lines, the combiner locks and slots), not
+// the queue-node accesses ("we have ignored the latency of accessing and
+// modifying queue nodes"), which would only slow these baselines.
 #pragma once
 
 #include <cmath>
@@ -55,10 +61,6 @@ struct QueueConfig {
   /// pre-filled enqueue segment is half full and the enqueue side does not
   /// hand off at t=0 in phase with the dequeue side.
   std::size_t initial_nodes = 63 * 1024 + 512;
-  /// Realism flag: also charge the queue-node memory access that the
-  /// paper's F&A / FC analysis deliberately ignores ("we have ignored the
-  /// latency of accessing and modifying queue nodes").
-  bool charge_node_access = false;
   /// When non-null, every completed operation appends its virtual latency
   /// here (in ns). Closed loop: request issue to response consumption.
   /// Open loop: INTENDED start to response consumption (coordinated-
@@ -148,28 +150,18 @@ struct PimQueueOptions {
   /// Response pipelining (Figure 6). When off, the PIM core stalls for
   /// Lmessage after each response before serving the next request.
   bool pipelining = true;
-  /// Place each new enqueue segment on the core opposite the dequeue core
-  /// ((deq + k/2) mod k). Self-stabilizing: when the dequeue role reaches
-  /// a segment, the enqueue role is filling one half a ring away, so the
-  /// two sides stay on distinct cores — the Section 5 assumption that
-  /// enqueues and dequeues proceed in parallel. false = strict round-robin,
-  /// whose pathology is worth knowing: both roles advance at the same rate
-  /// (one core per `threshold` operations), so round-robin can park them on
-  /// the SAME core and keep them there, serializing the two sides.
-  bool antipodal_placement = true;
   /// Section 5.1's further optimization: each core drains every
   /// already-delivered request and packs the enqueues into "fat" array
-  /// nodes of up to `fat_node_capacity` values, paying one local memory
-  /// access per fat node written or read instead of one per value.
+  /// nodes of up to core::QueueVault's kFatNodeCapacity values, paying one
+  /// local memory access per fat node written or read instead of one per
+  /// value.
   bool enqueue_combining = false;
-  std::size_t fat_node_capacity = 8;  ///< values per cache-line array node
 };
 
 RunResult run_faa_queue(const QueueConfig& cfg);
-/// Flat-combining queue. The paper's Section 5.2 variant uses TWO combiner
-/// locks (enqueues and dequeues in parallel); `single_lock` switches to the
-/// original one-lock flat-combining queue for the ablation.
-RunResult run_fc_queue(const QueueConfig& cfg, bool single_lock = false);
+/// Flat-combining queue, the paper's Section 5.2 variant with TWO combiner
+/// locks (enqueues and dequeues in parallel).
+RunResult run_fc_queue(const QueueConfig& cfg);
 /// Extra baseline (not in the paper's tables): CAS-retry Michael-Scott
 /// queue, which degrades under contention — the reason the paper compares
 /// against the F&A queue as the strongest CPU FIFO.
@@ -181,7 +173,7 @@ struct PimQueueResult {
   std::uint64_t segments_created = 0;  ///< newEnqSeg activations
   std::uint64_t empty_dequeues = 0;    ///< dequeues that found the queue empty
   /// Ops served by a core holding BOTH special segments (the serialized
-  /// regime; see PimQueueOptions::antipodal_placement).
+  /// regime the opposite-core placement avoids at k = 4, 5, 6, 8).
   std::uint64_t co_resident_ops = 0;
   std::uint64_t enq_ops = 0;  ///< accepted enqueues
   std::uint64_t deq_ops = 0;  ///< accepted dequeues (incl. empty results)

@@ -7,6 +7,10 @@
 //   4. FC skip-list with k partitions      -> run_fc_skiplist(k)
 //   5. PIM skip-list with k partitions     -> run_pim_skiplist(k)
 //
+// As in Table 2, the lock-free list is charged its traversal only, not the
+// CAS of an update (the paper: its actual performance "could be even
+// worse").
+//
 // run_pim_skiplist is run_pim_skiplist_rebalance's host with no policy
 // (RebalancePolicy::kNone): one simulated PIM skip list, whose cores run
 // core::SkipListVault, serves the paper rows and the migration runs.
@@ -27,10 +31,6 @@ struct SkipListConfig : SimConfig {
   std::uint64_t key_range = 1u << 17;  ///< N
   std::size_t initial_size = 16384;    ///< skip-list size
   SetOpMix mix{};
-  /// Lock-free variant: also charge Latomic per update op. Table 2 ignores
-  /// CAS costs (the paper notes actual lock-free performance "could be even
-  /// worse"); the realism ablation (bench A4) turns this on.
-  bool charge_cas = false;
   /// > 0: draw keys Zipf(theta) instead of uniform (rank 0 -> key 1, so
   /// partition 0 is the hot vault). Used by the --skew telemetry scenario
   /// on the table2/fig4 paths; 0 keeps the paper's uniform workload and

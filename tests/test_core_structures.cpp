@@ -197,7 +197,8 @@ TEST(PimSkipList, OperationsRaceWithMigrationSafely) {
 
 TEST(PimFifoQueue, BasicFifoOrderSingleThreaded) {
   runtime::PimSystem system(small_config(4));
-  PimFifoQueue queue(system, {16, true});  // tiny segments: exercise hand-off
+  // Tiny segments exercise the hand-off.
+  PimFifoQueue queue(system, {.segment_threshold = 16});
   system.start();
   for (std::uint64_t i = 0; i < 500; ++i) queue.enqueue(i);
   for (std::uint64_t i = 0; i < 500; ++i) {
@@ -223,7 +224,7 @@ TEST(PimFifoQueue, EmptyQueueReportsEmpty) {
 
 TEST(PimFifoQueue, PerProducerOrderAndNoLossUnderConcurrency) {
   runtime::PimSystem system(small_config(4));
-  PimFifoQueue queue(system, {64, true});
+  PimFifoQueue queue(system, {.segment_threshold = 64});
   system.start();
   constexpr int kProducers = 2;
   constexpr int kConsumers = 2;
@@ -265,21 +266,10 @@ TEST(PimFifoQueue, PerProducerOrderAndNoLossUnderConcurrency) {
 
 TEST(PimFifoQueue, SingleVaultStillWorks) {
   runtime::PimSystem system(small_config(1));
-  PimFifoQueue queue(system, {8, true});
+  PimFifoQueue queue(system, {.segment_threshold = 8});
   system.start();
   for (std::uint64_t i = 0; i < 100; ++i) queue.enqueue(i);
   for (std::uint64_t i = 0; i < 100; ++i) {
-    ASSERT_EQ(queue.dequeue(), std::optional<std::uint64_t>(i));
-  }
-  system.stop();
-}
-
-TEST(PimFifoQueue, RoundRobinPlacementRemainsCorrect) {
-  runtime::PimSystem system(small_config(3));
-  PimFifoQueue queue(system, {32, /*antipodal_placement=*/false});
-  system.start();
-  for (std::uint64_t i = 0; i < 1000; ++i) queue.enqueue(i);
-  for (std::uint64_t i = 0; i < 1000; ++i) {
     ASSERT_EQ(queue.dequeue(), std::optional<std::uint64_t>(i));
   }
   system.stop();

@@ -87,7 +87,7 @@ AnySet make_set(const std::string& name) {
   }
   if (name == "pimlist") {
     auto system = std::make_shared<runtime::PimSystem>(
-        runtime::PimSystem::Config{1, 8u << 20, 4096, {}, false});
+        runtime::PimSystem::Config{.num_vaults = 1, .vault_bytes = 8u << 20});
     auto s = on_system<core::PimLinkedList>(system);
     system->start();
     return {[s](std::uint64_t k) { return s->add(k); },
@@ -97,7 +97,7 @@ AnySet make_set(const std::string& name) {
   }
   if (name == "pimskip") {
     auto system = std::make_shared<runtime::PimSystem>(
-        runtime::PimSystem::Config{4, 8u << 20, 4096, {}, false});
+        runtime::PimSystem::Config{.num_vaults = 4, .vault_bytes = 8u << 20});
     core::PimSkipList::Options options;
     options.key_max = 1u << 20;
     auto s = on_system<core::PimSkipList>(system, options);
