@@ -190,7 +190,8 @@ BENCHMARK(BM_LoadMapRecord);
 /// The skip list's vault_service unit: one VaultIndex::contains on
 /// perfbench's per-vault shape, `range(0)` distinct uniform keys in
 /// [1, 2^16], over perfbench's windowed domain [1, 2^17] (range(1) = 1) or
-/// one tree over the whole key space (range(1) = 0). ns/op is the host's
+/// one tree over the widest domain an index takes, [0, 2^44 - 1], whose
+/// 2^32-key window 0 holds every key (range(1) = 0). ns/op is the host's
 /// search cost with latency injection off; reads_per_op is the node reads
 /// a runtime vault charges at one Lpim each.
 void BM_VaultIndexContains(benchmark::State& state) {
@@ -200,7 +201,7 @@ void BM_VaultIndexContains(benchmark::State& state) {
   if (state.range(1) != 0) {
     index.emplace(vault, 1, std::uint64_t{1} << 17);
   } else {
-    index.emplace(vault);
+    index.emplace(vault, 0, core::VaultIndex::kMaxKeySpan - 1);
   }
   Xoshiro256 rng(1);
   while (index->size() < keys) index->add(1 + rng.next_below(1u << 16));
@@ -219,6 +220,32 @@ BENCHMARK(BM_VaultIndexContains)
     ->Args({8192, 0})
     ->Args({34000, 1})
     ->Args({34000, 0});
+
+/// The skewed vault_service unit: perfbench skiplist_skew_write's mix (25%
+/// add, 25% remove, 50% contains on Zipf(0.99) keys) through one VaultIndex
+/// over [1, 2^17] after a 16,384-key uniform prefill. ns/op includes the
+/// key and op draws; reads_per_op is the node reads charged per op.
+void BM_VaultIndexSkewMix(benchmark::State& state) {
+  constexpr std::uint64_t kKeyMax = std::uint64_t{1} << 17;
+  runtime::Vault vault(0, 16u << 20);
+  core::VaultIndex index(vault, 1, kKeyMax);
+  Xoshiro256 rng(1);
+  while (index.size() < 16384) index.add(1 + rng.next_below(kKeyMax));
+  const ZipfGenerator zipf(kKeyMax, 0.99);
+  std::uint64_t reads = 0;
+  for (auto _ : state) {
+    const std::uint64_t pick = rng.next_below(100);
+    const std::uint64_t key = 1 + zipf.next(rng);
+    benchmark::DoNotOptimize(
+        index.execute(pick < 25   ? core::SetOp::kAdd
+                      : pick < 50 ? core::SetOp::kRemove
+                                  : core::SetOp::kContains,
+                      key, [&reads](std::uint64_t n) { reads += n; }));
+  }
+  state.counters["reads_per_op"] = static_cast<double>(reads) /
+                                   static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_VaultIndexSkewMix);
 
 void BM_LatencyInjectionPim(benchmark::State& state) {
   auto& inj = LatencyInjector::instance();

@@ -42,7 +42,11 @@ class PimSkipList {
  public:
   struct Options {
     std::uint64_t key_min = 1;            ///< smallest usable key
-    std::uint64_t key_max = 1u << 20;     ///< largest usable key
+    /// Largest usable key. Each vault's index stores keys as 32-bit
+    /// offsets into 4,096 windows, so key_max - key_min must stay below
+    /// VaultIndex::kMaxKeySpan (2^44); the constructor throws
+    /// std::invalid_argument otherwise.
+    std::uint64_t key_max = 1u << 20;
     std::size_t migrate_chunk = 32;       ///< nodes moved per migration step
   };
 

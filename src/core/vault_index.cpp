@@ -24,7 +24,7 @@ void erase_slot(T* arr, int count, int pos) {
 
 VaultIndex::VaultIndex(runtime::Vault& vault, std::uint64_t key_min,
                        std::uint64_t key_max)
-    : vault_(vault), key_min_(key_min) {
+    : vault_(vault), key_min_(key_min), key_max_(key_max) {
   if (vault.capacity() > runtime::Vault::kMaxOffsetCapacity) {
     throw std::length_error("VaultIndex: vault too large for 32-bit offsets");
   }
@@ -34,6 +34,10 @@ VaultIndex::VaultIndex(runtime::Vault& vault, std::uint64_t key_min,
   // span - 1, which cannot overflow even for the whole key space.
   const std::uint64_t last = key_max - key_min;
   width_ = last / (last < kMaxWindows ? last + 1 : kMaxWindows) + 1;
+  if (width_ > kMaxWindowKeys) {
+    throw std::invalid_argument(
+        "VaultIndex: a window would span more than 2^32 keys");
+  }
   windows_ = static_cast<std::uint32_t>(last / width_ + 1);
   // An all-zero block is an empty leaf, so the fresh region is R empty
   // roots as it stands, and a window's page is first touched when a key
@@ -47,6 +51,14 @@ std::uint32_t VaultIndex::window_of(std::uint64_t key) const noexcept {
   if (key <= key_min_) return 0;
   return static_cast<std::uint32_t>(
       std::min<std::uint64_t>((key - key_min_) / width_, windows_ - 1));
+}
+
+VaultIndex::Offset VaultIndex::offset_in(std::uint32_t w,
+                                         std::uint64_t key) const noexcept {
+  const std::uint64_t start = window_start(w);
+  if (key <= start) return 0;
+  return static_cast<Offset>(
+      std::min<std::uint64_t>(key - start, kMaxWindowKeys - 1));
 }
 
 int VaultIndex::height() const noexcept {
@@ -65,18 +77,19 @@ void VaultIndex::free_node(Node* node) {
   vault_.deallocate(node, sizeof(Node), alignof(Node));
 }
 
-int VaultIndex::seek(const Node* leaf, std::uint64_t key) {
+int VaultIndex::seek(const Node* leaf, Offset off) {
   return static_cast<int>(
-      std::lower_bound(leaf->key, leaf->key + leaf->count, key) - leaf->key);
+      std::lower_bound(leaf->key, leaf->key + leaf->count, off) - leaf->key);
 }
 
 std::uint64_t VaultIndex::descend(std::uint64_t key, Path& path) const {
   path.window = window_of(key);
+  const Offset off = offset_in(path.window, key);
   const int height = height_[path.window];
   Node* node = root(path.window);
   for (int level = 0; level < height - 1; ++level) {
     int s = node->count - 1;
-    while (s > 0 && node->in.sep[s] > key) --s;
+    while (s > 0 && node->in.sep[s] > off) --s;
     path.node[level] = node;
     path.slot[level] = static_cast<std::uint8_t>(s);
     node = child(node, s);
@@ -87,16 +100,17 @@ std::uint64_t VaultIndex::descend(std::uint64_t key, Path& path) const {
 
 void VaultIndex::bound(Finger& f) const {
   const std::uint32_t w = f.path.window;
-  f.lo = w == 0 ? 0 : window_start(w);
+  const std::uint64_t start = window_start(w);
+  f.lo = w == 0 ? 0 : start;
   f.has_hi = false;
   for (int level = height_[w] - 2; level >= 0; --level) {
     const Node* node = f.path.node[level];
     const int s = f.path.slot[level];
     if (!f.has_hi && s + 1 < node->count) {
-      f.hi = node->in.sep[s + 1];
+      f.hi = start + node->in.sep[s + 1];
       f.has_hi = true;
     }
-    if (s > 0) f.lo = std::max(f.lo, node->in.sep[s]);
+    if (s > 0) f.lo = std::max(f.lo, start + node->in.sep[s]);
   }
   if (!f.has_hi && w + 1 < windows_) {
     f.hi = window_start(w + 1);
@@ -118,6 +132,9 @@ std::uint64_t VaultIndex::hold(Finger& f, std::uint64_t key) const {
 
 bool VaultIndex::insert_at(Path& path, std::uint64_t key,
                            std::uint64_t& created) {
+  assert(in_domain(key) && "key outside the index's domain");
+  if (!in_domain(key)) return false;
+  const Offset off = offset_in(path.window, key);
   const int level = height_[path.window] - 1;
   Node* leaf = path.node[level];
   if (level == 0) {
@@ -128,8 +145,8 @@ bool VaultIndex::insert_at(Path& path, std::uint64_t key,
     leaf->inner = false;
     std::atomic_signal_fence(std::memory_order_seq_cst);
   }
-  int pos = seek(leaf, key);
-  if (pos < leaf->count && leaf->key[pos] == key) return false;
+  int pos = seek(leaf, off);
+  if (pos < leaf->count && leaf->key[pos] == off) return false;
   Node* right = nullptr;
   if (leaf->count == kLeafKeys) {
     constexpr int kHalf = kLeafKeys / 2;
@@ -144,7 +161,7 @@ bool VaultIndex::insert_at(Path& path, std::uint64_t key,
     }
     path.node[level] = leaf;
   }
-  insert_slot(leaf->key, leaf->count, pos, key);
+  insert_slot(leaf->key, leaf->count, pos, off);
   ++leaf->count;
   if (right != nullptr) link_split(path, level, right, leaf == right, created);
   ++size_;
@@ -154,7 +171,7 @@ bool VaultIndex::insert_at(Path& path, std::uint64_t key,
 
 void VaultIndex::link_split(Path& path, int level, Node* right, bool follow,
                             std::uint64_t& created) {
-  const std::uint64_t sep = right->inner ? right->in.sep[0] : right->key[0];
+  const Offset sep = right->inner ? right->in.sep[0] : right->key[0];
   if (level == 0) {
     // Root split: the root block stays put. Its left half moves into a new
     // child, and the root becomes an inner node over the two halves.
@@ -259,19 +276,23 @@ int VaultIndex::next_leaf(Path& path, std::uint64_t& reads) const {
 }
 
 int VaultIndex::find(const Path& path, std::uint64_t key) const {
+  if (!in_domain(key)) return -1;
   const Node* leaf = path.node[height_[path.window] - 1];
-  const int pos = seek(leaf, key);
-  return pos < leaf->count && leaf->key[pos] == key ? pos : -1;
+  const Offset off = offset_in(path.window, key);
+  const int pos = seek(leaf, off);
+  return pos < leaf->count && leaf->key[pos] == off ? pos : -1;
 }
 
 std::optional<std::uint64_t> VaultIndex::first_at_least(
     std::uint64_t key) const {
+  if (key > key_max_) return std::nullopt;
   Finger f;
   for (;;) {
     hold(f, key);
-    const Node* leaf = f.path.node[height_[f.path.window] - 1];
-    const int pos = seek(leaf, key);
-    if (pos < leaf->count) return leaf->key[pos];
+    const std::uint32_t w = f.path.window;
+    const Node* leaf = f.path.node[height_[w] - 1];
+    const int pos = seek(leaf, offset_in(w, key));
+    if (pos < leaf->count) return window_start(w) + leaf->key[pos];
     if (!f.has_hi) return std::nullopt;
     key = f.hi;  // ran off the leaf: re-descend to the next separator
   }
@@ -279,14 +300,15 @@ std::optional<std::uint64_t> VaultIndex::first_at_least(
 
 std::optional<std::uint64_t> VaultIndex::extract_at_least(
     std::uint64_t key, std::uint64_t& reads) {
+  if (key > key_max_) return std::nullopt;
   Finger& f = extract_finger_;
   for (;;) {
     reads += hold(f, key);
     const std::uint32_t w = f.path.window;
     const Node* leaf = f.path.node[height_[w] - 1];
-    const int pos = seek(leaf, key);
+    const int pos = seek(leaf, offset_in(w, key));
     if (pos < leaf->count) {
-      const std::uint64_t out = leaf->key[pos];
+      const std::uint64_t out = window_start(w) + leaf->key[pos];
       if (leaf->count > 1 || height_[w] == 1) {
         erase_at(f.path, pos, f.path, reads);
         f.epoch = mutation_epoch_;

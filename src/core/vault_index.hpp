@@ -22,22 +22,41 @@
 // root with arithmetic and reads nothing to find it; a search then pays
 // one read per node of a small tree instead of one per level of a tree
 // over the whole vault. With R this wide, a window of a uniform key set
-// rarely outgrows one root leaf, and a search reads one node. Keys below
-// key_min or above key_max fall in the first or last window. A window's
+// rarely outgrows one root leaf, and a search reads one node. A window's
 // tree never holds more keys than one tree over the whole vault would, so
 // a clustered key set costs no more than it would without windows. The
 // region spans 512 KB per index at R = 4096, but it starts as zero pages
 // of the vault's arena (Vault::allocate_zeroed) and an all-zero block is
-// an empty leaf, so construction writes nothing and a page of 32 roots
-// becomes resident only when a key lands in one of its windows.
+// an empty leaf (count 0, not inner), so construction writes nothing and a
+// page of 32 roots becomes resident only when a key lands in one of its
+// windows.
 //
-// Shape. A leaf holds up to kLeafKeys sorted keys. An inner node holds up
-// to kFanout (separator, child) entries; separator i is a lower bound of
-// child i's keys, and entry 0's separator is never compared, so child 0
-// takes every key below separator 1. A child is named by its 32-bit offset
-// in the vault arena (Vault::offset_of), not a 64-bit pointer, which is
-// what fits 10 entries into a block instead of 7. All leaves of a window
-// sit at the same depth.
+// Offsets. A node stores each key and separator as its 32-bit offset from
+// its window's first key, not as the 64-bit key: every key of a tree
+// shares that window, so the offset is all that tells two keys apart, and
+// halving the entry is what fits a block with 31 keys instead of 15. The
+// index converts at its edges: a descent turns the key into its window and
+// offset once, and every key it hands back (first_at_least, extractions)
+// is the window's start plus the stored offset. Every vault of a
+// partitioned skip list windows the same domain, so a migrated key has the
+// same offset on both sides.
+//
+// Domain contract. A window may span at most 2^32 keys (kMaxWindowKeys),
+// so key_max - key_min must stay below kMaxKeySpan = 4096 x 2^32 = 2^44;
+// the constructor throws std::invalid_argument otherwise. A key outside
+// [key_min, key_max] has no offset: contains and remove of one return
+// false at the charge of a miss in the first or last window (the one the
+// key's side of the domain would fall in), add and insert_ascending assert
+// it never comes (and, without asserts, insert nothing), and
+// first_at_least / extract_first_at_least read a key below key_min as
+// key_min and one above key_max as past every key.
+//
+// Shape. A leaf holds up to kLeafKeys = 31 sorted offsets. An inner node
+// holds up to kFanout = 15 (separator, child) entries; separator i is a
+// lower bound of child i's offsets, and entry 0's separator is never
+// compared, so child 0 takes every key below separator 1. A child is named
+// by its 32-bit offset in the vault arena (Vault::offset_of), not a 64-bit
+// pointer. All leaves of a window sit at the same depth.
 // - A full node splits in half, and the split cascades up. A root split
 //   keeps the root block: it copies the root into a new left child and
 //   makes the root an inner node over the two halves, one level taller.
@@ -80,10 +99,14 @@ struct NoCharge {
 class VaultIndex {
  public:
   static constexpr std::size_t kNodeBytes = 128;
-  static constexpr int kLeafKeys = 15;
-  static constexpr int kFanout = 10;
+  static constexpr int kLeafKeys = 31;
+  static constexpr int kFanout = 15;
   /// Windows a key domain is split into, at most (one per key below that).
   static constexpr std::uint64_t kMaxWindows = 4096;
+  /// Keys one window may span: a node stores 32-bit offsets into it.
+  static constexpr std::uint64_t kMaxWindowKeys = std::uint64_t{1} << 32;
+  /// Keys a domain may span: key_max - key_min < kMaxKeySpan.
+  static constexpr std::uint64_t kMaxKeySpan = kMaxWindows * kMaxWindowKeys;
   /// Path length bound. A root split needs a full root, and refilling a
   /// split node takes at least three splits one level down, so height h
   /// needs over 3^(h-2) leaf splits: 32 levels are out of reach.
@@ -110,12 +133,12 @@ class VaultIndex {
   };
 
  public:
-  /// An index whose windows split [key_min, key_max] (by default the whole
-  /// key space). Throws std::length_error if the vault is too large for
-  /// 32-bit child offsets (Vault::kMaxOffsetCapacity), and
-  /// std::invalid_argument if key_max < key_min.
-  explicit VaultIndex(runtime::Vault& vault, std::uint64_t key_min = 0,
-                      std::uint64_t key_max = ~std::uint64_t{0});
+  /// An index whose windows split [key_min, key_max]. Throws
+  /// std::length_error if the vault is too large for 32-bit child offsets
+  /// (Vault::kMaxOffsetCapacity), and std::invalid_argument if
+  /// key_max < key_min or the domain spans more than kMaxKeySpan keys.
+  VaultIndex(runtime::Vault& vault, std::uint64_t key_min,
+             std::uint64_t key_max);
 
   VaultIndex(const VaultIndex&) = delete;
   VaultIndex& operator=(const VaultIndex&) = delete;
@@ -210,15 +233,18 @@ class VaultIndex {
   }
 
  private:
+  /// A key's offset from its window's first key.
+  using Offset = std::uint32_t;
+
   struct Node {
     struct Inner {
-      std::uint64_t sep[kFanout];
+      Offset sep[kFanout];
       std::uint32_t child[kFanout];  // vault offsets
     };
     std::uint16_t count;
     bool inner;  // false in a zero block: an empty leaf
     union {
-      std::uint64_t key[kLeafKeys];
+      Offset key[kLeafKeys];
       Inner in;
     };
   };
@@ -235,10 +261,17 @@ class VaultIndex {
   std::uint32_t ref(const Node* node) const { return vault_.offset_of(node); }
   void free_node(Node* node);
   std::uint32_t window_of(std::uint64_t key) const noexcept;
+  bool in_domain(std::uint64_t key) const noexcept {
+    return key >= key_min_ && key <= key_max_;
+  }
+  /// `key`'s offset in window `w`, saturated to the window's offset range
+  /// for a key outside the domain.
+  Offset offset_in(std::uint32_t w, std::uint64_t key) const noexcept;
   Node* root(std::uint32_t window) const noexcept { return roots_ + window; }
-  /// First slot of `leaf` holding a key >= `key` (its count if none).
-  static int seek(const Node* leaf, std::uint64_t key);
-  /// Slot of `key` in the path's leaf, or -1.
+  /// First slot of `leaf` holding an offset >= `off` (its count if none).
+  static int seek(const Node* leaf, Offset off);
+  /// Slot of `key` in the path's leaf, or -1 (always for a key outside the
+  /// domain).
   int find(const Path& path, std::uint64_t key) const;
 
   /// Fill `path` toward `key`; returns the node reads (the height).
@@ -264,6 +297,7 @@ class VaultIndex {
 
   runtime::Vault& vault_;
   std::uint64_t key_min_;
+  std::uint64_t key_max_;
   std::uint64_t width_ = 1;      // keys per window
   std::uint32_t windows_ = 1;
   Node* roots_ = nullptr;        // windows_ contiguous root blocks

@@ -114,6 +114,26 @@ TEST(PimSkipList, MatchesStdSetSingleThreaded) {
   system.stop();
 }
 
+TEST(PimSkipList, KeyDomainSpansAtMostTheIndexsWindows) {
+  // Every vault's index stores 32-bit offsets into 4,096 windows.
+  runtime::PimSystem system(small_config(2));
+  PimSkipList::Options options;
+  options.key_min = 1;
+  options.key_max = core::VaultIndex::kMaxKeySpan + 1;
+  EXPECT_THROW(PimSkipList(system, options), std::invalid_argument);
+  options.key_max = core::VaultIndex::kMaxKeySpan;
+  PimSkipList list(system, options);
+  system.start();
+  for (const std::uint64_t key :
+       {options.key_min, options.key_max / 2, options.key_max}) {
+    EXPECT_TRUE(list.add(key)) << key;
+    EXPECT_TRUE(list.contains(key)) << key;
+  }
+  EXPECT_FALSE(list.contains(options.key_max - 1));
+  EXPECT_EQ(list.size(), 3u);
+  system.stop();
+}
+
 TEST(PimSkipList, MigrationPreservesAllKeys) {
   runtime::PimSystem system(small_config(4));
   PimSkipList::Options options;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/zipf.hpp"
 #include "core/queue_vault.hpp"
 #include "core/rebalance_step.hpp"
 #include "core/sentinel_directory.hpp"
@@ -28,6 +29,10 @@ namespace {
 
 using core::SentinelDirectory;
 using core::VaultIndex;
+
+/// The widest domain an index takes, [0, 2^44 - 1]: its windows span
+/// 2^32 keys, so every key below 2^32 shares window 0's tree.
+constexpr std::uint64_t kWidestKeyMax = VaultIndex::kMaxKeySpan - 1;
 
 /// Hop-cost hook adding each charged call's accesses to `total`.
 auto tally(std::uint64_t& total) {
@@ -91,7 +96,7 @@ TEST(SentinelDirectory, RepeatedSplitsStaySorted) {
 
 TEST(VaultIndex, MatchesStdSetAndCountsSteps) {
   runtime::Vault vault(0, 16u << 20);
-  VaultIndex list(vault);
+  VaultIndex list(vault, 0, kWidestKeyMax);
   std::set<std::uint64_t> reference;
   Xoshiro256 rng(9);
   std::uint64_t total_steps = 0;
@@ -117,7 +122,7 @@ TEST(VaultIndex, MatchesStdSetAndCountsSteps) {
 
 TEST(VaultIndex, FirstAtLeastScansInOrder) {
   runtime::Vault vault(0, 1u << 20);
-  VaultIndex list(vault);
+  VaultIndex list(vault, 0, kWidestKeyMax);
   for (std::uint64_t k : {10u, 20u, 30u}) list.add(k);
   EXPECT_EQ(list.first_at_least(1), std::optional<std::uint64_t>(10));
   EXPECT_EQ(list.first_at_least(10), std::optional<std::uint64_t>(10));
@@ -128,7 +133,7 @@ TEST(VaultIndex, FirstAtLeastScansInOrder) {
 
 TEST(VaultIndex, MemoryIsReturnedToTheVault) {
   runtime::Vault vault(0, 1u << 20);
-  VaultIndex list(vault);
+  VaultIndex list(vault, 0, kWidestKeyMax);
   for (std::uint64_t k = 1; k <= 200; ++k) list.add(k);
   const std::size_t peak = vault.bytes_used();
   for (std::uint64_t k = 1; k <= 200; ++k) list.remove(k);
@@ -148,7 +153,7 @@ void fill_uniform(VaultIndex& index, std::size_t n, std::uint64_t seed) {
 
 TEST(VaultIndex, ContainsChargesExactlyTheHeight) {
   runtime::Vault vault(0, 16u << 20);
-  VaultIndex index(vault);
+  VaultIndex index(vault, 0, kWidestKeyMax);
   std::uint64_t steps = 0;
   EXPECT_FALSE(index.contains(5, tally(steps)));
   EXPECT_EQ(steps, 1u);  // an empty index is one root leaf
@@ -162,16 +167,16 @@ TEST(VaultIndex, ContainsChargesExactlyTheHeight) {
   }
 }
 
-TEST(VaultIndex, BothNodeKindsFitOneBlockAtTenAndFifteenEntries) {
-  static_assert(VaultIndex::kLeafKeys == 15 && VaultIndex::kFanout == 10);
+TEST(VaultIndex, BothNodeKindsFitOneBlockAtThirtyOneAndFifteenEntries) {
+  static_assert(VaultIndex::kLeafKeys == 31 && VaultIndex::kFanout == 15);
   runtime::Vault vault(0, 1u << 20);
-  VaultIndex index(vault);
-  // A root leaf takes 15 keys; the 16th splits it.
+  VaultIndex index(vault, 0, kWidestKeyMax);
+  // A root leaf takes 31 keys; the 32nd splits it.
   std::uint64_t key = 1;
   while (index.height() == 1) index.add(key++);
-  EXPECT_EQ(index.size(), 16u);
+  EXPECT_EQ(index.size(), 32u);
   // An ascending fill only ever splits the last leaf, so the largest
-  // two-level tree is one inner root over 10 leaves.
+  // two-level tree is one inner root over 15 leaves.
   std::uint64_t most_blocks = 0;
   while (index.height() == 2) {
     most_blocks = std::max(most_blocks, vault.live_blocks());
@@ -185,14 +190,14 @@ TEST(VaultIndex, BothNodeKindsFitOneBlockAtTenAndFifteenEntries) {
                 VaultIndex::kNodeBytes);
 }
 
-TEST(VaultIndex, GrowthFromPrefillToFourteenThousandKeysStaysAtHeightFive) {
+TEST(VaultIndex, GrowthFromPrefillToFourteenThousandKeysStaysAtHeightFour) {
   // perfbench skiplist_read's 90/5/5 contains/add/remove mix, replayed
   // from its 8,192-key prefill until the vault holds 14,000 keys (about
   // what a 20 s run grows it to).
   runtime::Vault vault(0, 16u << 20);
-  VaultIndex index(vault);
+  VaultIndex index(vault, 0, kWidestKeyMax);
   fill_uniform(index, 8192, 1);
-  ASSERT_EQ(index.height(), 5);
+  ASSERT_EQ(index.height(), 4);
   Xoshiro256 rng(7);
   std::uint64_t probes = 0;
   while (index.size() < 14000) {
@@ -205,17 +210,17 @@ TEST(VaultIndex, GrowthFromPrefillToFourteenThousandKeysStaysAtHeightFive) {
     } else {
       std::uint64_t steps = 0;
       index.contains(key, tally(steps));
-      ASSERT_EQ(steps, 5u) << "at " << index.size() << " keys";
+      ASSERT_EQ(steps, 4u) << "at " << index.size() << " keys";
       ++probes;
     }
-    ASSERT_EQ(index.height(), 5) << "at " << index.size() << " keys";
+    ASSERT_EQ(index.height(), 4) << "at " << index.size() << " keys";
   }
   EXPECT_GT(probes, 100000u);
 }
 
 TEST(VaultIndex, AddChargesHeightPlusTheNodesItsSplitCreated) {
   runtime::Vault vault(0, 16u << 20);
-  VaultIndex index(vault);
+  VaultIndex index(vault, 0, kWidestKeyMax);
   Xoshiro256 rng(3);
   std::uint64_t splits = 0;
   std::uint64_t root_splits = 0;
@@ -242,7 +247,7 @@ TEST(VaultIndex, MigrationHelpersStayUnderTheOneKeyLayoutsPerKeyCharge) {
   // the current leaf bring both to about one descent or split per leaf.
   constexpr std::uint64_t kKeys = 1000;
   runtime::Vault source_vault(0, 16u << 20);
-  VaultIndex source(source_vault);
+  VaultIndex source(source_vault, 0, kWidestKeyMax);
   for (std::uint64_t k = 1; k <= 3 * kKeys; ++k) source.add(k);
   std::uint64_t extract_steps = 0;
   std::uint64_t cursor = kKeys;
@@ -258,7 +263,7 @@ TEST(VaultIndex, MigrationHelpersStayUnderTheOneKeyLayoutsPerKeyCharge) {
 
   // The target already holds keys on both sides of the incoming range.
   runtime::Vault target_vault(1, 16u << 20);
-  VaultIndex target(target_vault);
+  VaultIndex target(target_vault, 0, kWidestKeyMax);
   for (std::uint64_t k = 1; k < kKeys; ++k) target.add(k);
   for (std::uint64_t k = 2 * kKeys; k <= 3 * kKeys; ++k) target.add(k);
   VaultIndex::InsertCursor finger;
@@ -273,7 +278,7 @@ TEST(VaultIndex, MigrationHelpersStayUnderTheOneKeyLayoutsPerKeyCharge) {
 
 TEST(VaultIndex, DifferentialAgainstStdSetThroughGrowthAndCollapse) {
   runtime::Vault vault(0, 16u << 20);
-  VaultIndex index(vault);
+  VaultIndex index(vault, 0, kWidestKeyMax);
   std::set<std::uint64_t> reference;
   Xoshiro256 rng(5);
   const auto check_first_at_least = [&](std::uint64_t key) {
@@ -360,8 +365,9 @@ TEST(WindowedVaultIndex, ContainsChargesExactlyItsWindowsHeight) {
   ASSERT_EQ(kBenchKeyMax % index.windows(), 0u);
   const std::uint64_t width = kBenchKeyMax / index.windows();
   ASSERT_EQ(index.window_start(1), 1 + width);
-  // Vault 0's half, [1, 2^16], at ~16 keys per window.
-  fill_uniform(index, 16 * (index.windows() / 2), 1);
+  // Vault 0's half, [1, 2^16], at ~31 of a window's 32 keys: a window
+  // that holds all 32 outgrows its root leaf.
+  fill_uniform(index, VaultIndex::kLeafKeys * (index.windows() / 2), 1);
   Xoshiro256 rng(2);
   constexpr int kProbes = 4000;
   std::uint64_t total = 0;
@@ -373,8 +379,34 @@ TEST(WindowedVaultIndex, ContainsChargesExactlyItsWindowsHeight) {
     total += steps;
   }
   // One tree over the vault is 5 levels here; a window's is 1 or 2.
+  EXPECT_GT(total, static_cast<std::uint64_t>(kProbes));
   EXPECT_LT(static_cast<double>(total) / kProbes, 2.0);
   EXPECT_EQ(index.height(), 2);
+}
+
+TEST(WindowedVaultIndex, SkewedWriteMixReadsOneNodePerOp) {
+  // perfbench skiplist_skew_write's mix through one index over its domain:
+  // a 16,384-key uniform prefill, then 25% add, 25% remove and 50%
+  // contains on Zipf(0.99) keys, rank 0 on key 1. The hot windows peak
+  // below a 31-key leaf, so no window grows a second level and every op,
+  // update or not, reads its window's root leaf and nothing else.
+  runtime::Vault vault(0, 16u << 20);
+  VaultIndex index(vault, 1, kBenchKeyMax);
+  Xoshiro256 rng(1);
+  while (index.size() < 16384) index.add(1 + rng.next_below(kBenchKeyMax));
+  const ZipfGenerator zipf(kBenchKeyMax, 0.99);
+  constexpr std::uint64_t kOps = 500000;
+  std::uint64_t reads = 0;
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    const std::uint64_t pick = rng.next_below(100);
+    const std::uint64_t key = 1 + zipf.next(rng);
+    index.execute(pick < 25   ? core::SetOp::kAdd
+                  : pick < 50 ? core::SetOp::kRemove
+                              : core::SetOp::kContains,
+                  key, tally(reads));
+  }
+  EXPECT_EQ(reads, kOps);
+  EXPECT_EQ(index.height(), 1);
 }
 
 /// True if `bytes` bytes from `p` all read zero.
@@ -423,11 +455,136 @@ TEST(WindowedVaultIndex, ZeroRegionIsAnEmptyIndex) {
   EXPECT_EQ(one.first_at_least(0), std::optional<std::uint64_t>(7));
 }
 
+TEST(WindowedVaultIndex, WindowEdgesStoreOffsetsAndReturnAbsoluteKeys) {
+  // The widest domain, high in the key space: every window spans 2^32
+  // keys, so a window's last key sits at the largest 32-bit offset.
+  runtime::Vault vault(0, 16u << 20);
+  const std::uint64_t key_min = std::uint64_t{1} << 60;
+  const std::uint64_t key_max = key_min + VaultIndex::kMaxKeySpan - 1;
+  VaultIndex index(vault, key_min, key_max);
+  ASSERT_EQ(index.windows(), VaultIndex::kMaxWindows);
+  ASSERT_EQ(index.window_start(0), key_min);
+  ASSERT_EQ(index.window_start(1) - index.window_start(0),
+            VaultIndex::kMaxWindowKeys);
+  const auto window_end = [&](std::uint32_t w) {
+    return w + 1 < index.windows() ? index.window_start(w + 1) - 1 : key_max;
+  };
+  ASSERT_EQ(window_end(index.windows() - 1), key_max);
+  // Both edges of windows 0, 1 and the last; windows 2 to last - 1 empty.
+  std::vector<std::uint64_t> keys;
+  for (const std::uint32_t w : {0u, 1u, index.windows() - 1}) {
+    for (const std::uint64_t key :
+         {index.window_start(w), index.window_start(w) + 1, window_end(w) - 1,
+          window_end(w)}) {
+      std::uint64_t steps = 0;
+      ASSERT_TRUE(index.add(key, tally(steps))) << key;
+      ASSERT_EQ(steps, 1u) << key;
+      keys.push_back(key);
+    }
+  }
+  for (const std::uint64_t key : keys) ASSERT_TRUE(index.contains(key)) << key;
+  for (const std::uint32_t w : {0u, 1u, 2u, index.windows() - 1}) {
+    ASSERT_FALSE(index.contains(index.window_start(w) + 2)) << w;
+    ASSERT_FALSE(index.contains(window_end(w) - 2)) << w;
+  }
+  // A scan hands back absolute keys and crosses window edges and the empty
+  // windows between window 1 and the last.
+  std::vector<std::uint64_t> scanned;
+  for (std::uint64_t cursor = 0;;) {
+    const auto next = index.first_at_least(cursor);
+    if (!next.has_value()) break;
+    scanned.push_back(*next);
+    cursor = *next + 1;
+  }
+  EXPECT_EQ(scanned, keys);
+  EXPECT_EQ(index.first_at_least(window_end(1) + 1),
+            std::optional(index.window_start(index.windows() - 1)));
+
+  // Keys outside the domain. Below key_min is the first window's side and
+  // above key_max the last's: a lookup misses at the charge of a miss
+  // there, though the saturated offset matches a stored edge key.
+  for (std::uint64_t key = key_min; index.height(key_min) == 1; ++key) {
+    index.add(key + 2);
+  }
+  const int first_height = index.height(key_min);
+  for (const std::uint64_t outside :
+       {std::uint64_t{0}, key_min - 1, key_max + 1, ~std::uint64_t{0}}) {
+    const int height = outside < key_min ? first_height : 1;
+    std::uint64_t steps = 0;
+    EXPECT_FALSE(index.contains(outside, tally(steps))) << outside;
+    EXPECT_EQ(steps, static_cast<std::uint64_t>(height)) << outside;
+    steps = 0;
+    EXPECT_FALSE(index.remove(outside, tally(steps))) << outside;
+    EXPECT_EQ(steps, static_cast<std::uint64_t>(height)) << outside;
+  }
+  const std::size_t size = index.size();
+#ifdef NDEBUG
+  // add asserts its key is inside; without asserts it inserts nothing.
+  EXPECT_FALSE(index.add(key_min - 1));
+  EXPECT_FALSE(index.add(key_max + 1));
+#endif
+  EXPECT_EQ(index.size(), size);
+  EXPECT_TRUE(index.contains(key_min));
+  EXPECT_TRUE(index.contains(key_max));
+  // A scan from below key_min starts at it; one past key_max finds none.
+  EXPECT_EQ(index.first_at_least(0), std::optional(key_min));
+  EXPECT_EQ(index.first_at_least(key_max), std::optional(key_max));
+  EXPECT_EQ(index.first_at_least(key_max + 1), std::nullopt);
+  EXPECT_EQ(index.extract_first_at_least(key_max + 1), std::nullopt);
+  EXPECT_EQ(index.size(), size);
+  // An extraction sweep drains in ascending absolute order.
+  std::set<std::uint64_t> want;
+  for (std::uint64_t cursor = 0;;) {
+    const auto next = index.first_at_least(cursor);
+    if (!next.has_value()) break;
+    want.insert(*next);
+    cursor = *next + 1;
+  }
+  std::vector<std::uint64_t> drained;
+  for (std::uint64_t cursor = 0;;) {
+    const auto next = index.extract_first_at_least(cursor);
+    if (!next.has_value()) break;
+    drained.push_back(*next);
+    cursor = *next + 1;
+  }
+  EXPECT_EQ(drained, std::vector<std::uint64_t>(want.begin(), want.end()));
+  EXPECT_EQ(index.size(), 0u);
+
+  // A span 4,096 does not divide: windows round up to 11 keys, so the
+  // last of the 3,724 windows holds the 10 left over.
+  runtime::Vault narrow_vault(1, 4u << 20);
+  const std::uint64_t lo = 5;
+  const std::uint64_t hi = lo + 4096 * 10 + 2;
+  VaultIndex narrow(narrow_vault, lo, hi);
+  ASSERT_EQ(narrow.windows(), 3724u);
+  ASSERT_EQ(narrow.window_start(1), lo + 11);
+  const std::uint64_t last = narrow.window_start(narrow.windows() - 1);
+  ASSERT_EQ(hi - last + 1, 10u);
+  for (const std::uint64_t key : {lo, last - 1, last, hi}) {
+    ASSERT_TRUE(narrow.add(key)) << key;
+  }
+  EXPECT_EQ(narrow.first_at_least(lo + 1), std::optional(last - 1));
+  EXPECT_EQ(narrow.first_at_least(last + 1), std::optional(hi));
+  EXPECT_EQ(narrow.first_at_least(hi + 1), std::nullopt);
+  EXPECT_FALSE(narrow.contains(hi + 1));
+  EXPECT_EQ(narrow.extract_first_at_least(last), std::optional(last));
+  EXPECT_EQ(narrow.extract_first_at_least(last), std::optional(hi));
+  EXPECT_EQ(narrow.extract_first_at_least(last), std::nullopt);
+
+  // A window may span at most 2^32 keys.
+  runtime::Vault spare(2, 1u << 20);
+  EXPECT_NO_THROW(VaultIndex(spare, 1, VaultIndex::kMaxKeySpan));
+  EXPECT_THROW(VaultIndex(spare, 0, VaultIndex::kMaxKeySpan),
+               std::invalid_argument);
+  EXPECT_THROW(VaultIndex(spare, 0, ~std::uint64_t{0}), std::invalid_argument);
+  EXPECT_THROW(VaultIndex(spare, 10, 9), std::invalid_argument);
+}
+
 TEST(WindowedVaultIndex, ClusteredKeysChargeWhatOneWholeDomainTreeCharges) {
   runtime::Vault windowed_vault(0, 16u << 20);
   VaultIndex windowed(windowed_vault, 1, kBenchKeyMax);
   runtime::Vault whole_vault(1, 16u << 20);
-  VaultIndex whole(whole_vault);  // every key below 2^54 under one root
+  VaultIndex whole(whole_vault, 0, kWidestKeyMax);  // one tree below 2^32
   const std::uint64_t lo = windowed.window_start(5);
   const std::uint64_t span = windowed.window_start(6) - lo;
   Xoshiro256 rng(4);
@@ -492,7 +649,9 @@ TEST(WindowedVaultIndex, ClusteredKeysChargeWhatOneWholeDomainTreeCharges) {
 
 TEST(WindowedVaultIndex, DifferentialAgainstStdSetAcrossManyWindows) {
   runtime::Vault vault(0, 32u << 20);
-  VaultIndex index(vault, 1, 1u << 20);
+  // 1,024-key windows: ~625 keys each at the fill below, past the ~350 a
+  // window takes to grow a third level.
+  VaultIndex index(vault, 1, 1u << 22);
   const std::uint64_t width = index.window_start(1) - index.window_start(0);
   std::set<std::uint64_t> reference;
   Xoshiro256 rng(6);

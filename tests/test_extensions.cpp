@@ -22,9 +22,12 @@
 namespace pimds {
 namespace {
 
+/// The widest domain an index takes: every key below 2^32 shares window 0.
+constexpr std::uint64_t kWidestKeyMax = core::VaultIndex::kMaxKeySpan - 1;
+
 TEST(VaultIndexMigrationHelpers, ExtractDrainsInAscendingOrder) {
   runtime::Vault vault(0, 4u << 20);
-  core::VaultIndex list(vault);
+  core::VaultIndex list(vault, 0, kWidestKeyMax);
   Xoshiro256 rng(1);
   std::set<std::uint64_t> keys;
   for (int i = 0; i < 500; ++i) {
@@ -50,9 +53,9 @@ TEST(VaultIndexMigrationHelpers, ExtractDrainsInAscendingOrder) {
 
 TEST(VaultIndexMigrationHelpers, AscendingInsertMatchesRegularAdd) {
   runtime::Vault vault(0, 4u << 20);
-  core::VaultIndex via_cursor(vault);
+  core::VaultIndex via_cursor(vault, 0, kWidestKeyMax);
   runtime::Vault vault2(1, 4u << 20);
-  core::VaultIndex regular(vault2);
+  core::VaultIndex regular(vault2, 0, kWidestKeyMax);
   core::VaultIndex::InsertCursor cursor;
   Xoshiro256 rng(2);
   std::vector<std::uint64_t> keys;
@@ -69,7 +72,7 @@ TEST(VaultIndexMigrationHelpers, AscendingInsertMatchesRegularAdd) {
 
 TEST(VaultIndexMigrationHelpers, CursorSurvivesInterleavedMutations) {
   runtime::Vault vault(0, 4u << 20);
-  core::VaultIndex list(vault);
+  core::VaultIndex list(vault, 0, kWidestKeyMax);
   core::VaultIndex::InsertCursor cursor;
   for (std::uint64_t k = 10; k <= 300; k += 10) {
     ASSERT_TRUE(list.insert_ascending(cursor, k));
